@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pooling import EXACTNESS_TOL, make_plan, reconstruction_decomposition
-from .pipeline import Pipeline, equivalence_error
+from .pipeline import Pipeline, _as_upsampler, equivalence_error
 
 __all__ = [
     "RetentionRow",
@@ -67,7 +67,8 @@ def shift_sweep(pipeline: Pipeline, upsampler, shifts, x) -> SweepResult:
     out_of_range = [d for d in shifts if not -n <= d <= n]
     if out_of_range:
         raise ValueError(f"shifts {out_of_range} fall outside [-{n}, {n}]")
-    errors = tuple(equivalence_error(pipeline, upsampler, d, x) for d in shifts)
+    up = _as_upsampler(upsampler, pipeline.input_shape, pipeline.output_shape)
+    errors = tuple(equivalence_error(pipeline, up, d, x) for d in shifts)
     return SweepResult(tuple(shifts), errors, float(np.linalg.norm(x)))
 
 

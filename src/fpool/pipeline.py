@@ -315,7 +315,11 @@ def _shift_features(x, delta) -> np.ndarray:
 
 
 def _as_upsampler(upsampler, in_shape, out_shape):
-    """Normalize the upsampler argument to a per-feature callable."""
+    """Normalize the upsampler argument to a per-feature callable.
+
+    ``None`` builds the direct plan (pair) of the composite factor; sweeps
+    call this once and hand the callable to every shift.
+    """
     if _spatial_ndim(out_shape) != _spatial_ndim(in_shape):
         raise ValueError(
             f"pipeline output {out_shape} carries no resolution to compare at {in_shape}"
@@ -378,7 +382,8 @@ class TransitivityRow:
 
 
 def _sweep_row(segment, pipeline, upsampler, x, shifts) -> TransitivityRow:
-    errors = tuple(equivalence_error(pipeline, upsampler, d, x) for d in shifts)
+    up = _as_upsampler(upsampler, pipeline.input_shape, pipeline.output_shape)
+    errors = tuple(equivalence_error(pipeline, up, d, x) for d in shifts)
     return TransitivityRow(
         segment=segment,
         shifts=tuple(int(d) for d in shifts),

@@ -1,20 +1,30 @@
 """Frequency-domain pooling plans and their coupled inverses.
 
-A plan for pooling length ``n`` down to length ``m`` is a dense complex
-matrix pair built from the transform matrices:
+Pooling length ``n`` down to length ``m`` keeps the lowest ``m`` of the
+``n`` DFT bins, the signed frequencies ``K = {-floor(m/2), ..., ceil(m/2)-1}``.
+With ``F`` the transform matrix of :mod:`fpool.spectral` and ``D`` the
+``(m, n)`` selection of those bins, a plan is the matrix pair
 
 * pooling:    ``matrix = conj(F_m) @ D @ F_n / n``  (shape ``(m, n)``)
 * upsampling: ``inverse_matrix = conj(F_n) @ D.T @ F_m / m``  (shape ``(n, m)``)
 
-where ``D`` keeps the first ``ceil(m/2)`` and last ``floor(m/2)`` spectrum
-rows.  Keeping the lowest-frequency band is what makes the pair exactly
-shift-equivalent and anti-aliasing; the matrices are applied as plain
-matmuls (the authoritative path, O(n*m) per signal).
+:func:`make_plan` never forms those products.  Entry ``(i, j)`` of
+``matrix`` is a sampled Dirichlet kernel,
+``(1/n) * sum(exp(2j*pi*f*(i/m - j/n)) for f in K)``, which depends only on
+``(i*P/m - j*P/n) mod P`` with ``P = lcm(n, m)``.  One length-``P`` inverse
+FFT of the kept-bin indicator tabulates it and an integer gather fills the
+matrix: O(P log P + n*m) time and O(P + n*m) memory, with ``P = n`` whenever
+``m`` divides ``n``.  The inverse is ``(n/m) * conj(matrix).T``.  The build
+still verifies the full round trip ``matrix @ inverse_matrix``, an
+O(n*m**2) product that dominates the build.  Keeping the lowest-frequency
+band is what makes the pair exactly shift-equivalent and anti-aliasing; the
+matrices are applied as plain matmuls (O(n*m) per signal), which beat the
+FFT at the sizes the package runs.
 
 For even ``m`` the band edge is asymmetric: the negative edge frequency is
 kept without its positive mirror, so pooled values pick up a small imaginary
-part that the real-valued API discards.  ``odd_padding=True`` zeroes that
-unmatched selection row, restoring conjugate symmetry and making the
+part that the real-valued API discards.  ``odd_padding=True`` drops that
+unmatched frequency, restoring conjugate symmetry and making the
 round trip exactly real (and exactly shift-equivalent); it is off by
 default, matching the convention that downstream layers simply ignore the
 residue.
@@ -22,11 +32,13 @@ residue.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import dft, dft_matrix, idft
+from .spectral import signed_frequency
 
 __all__ = [
     "ContractViolationError",
@@ -73,36 +85,39 @@ class FPoolPlan:
         return self.m % 2 == 1 or self.odd_padding or self.m == self.n
 
 
-def _head_tail(m: int) -> tuple[int, int]:
-    head = (m + 1) // 2
-    return head, m - head
+def _check_sizes(n, m) -> tuple[int, int]:
+    for name, value in (("input length", n), ("output length", m)):
+        # bool is an Integral subclass, but True as a length is a caller bug
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    n, m = int(n), int(m)
+    if n < 1:
+        raise ValueError(f"input length must be >= 1, got {n}")
+    if m < 1:
+        raise ValueError(f"output length must be >= 1, got {m}")
+    if m > n:
+        raise ValueError(f"plan must not upsample: m={m} > n={n}")
+    return n, m
 
 
-def _pads_edge(n: int, m: int, odd_padding: bool) -> bool:
+def _kept_frequencies(n: int, m: int, odd_padding: bool) -> np.ndarray:
+    """Signed frequencies the plan ``n -> m`` keeps, ordered by pooled bin.
+
+    Frequency ``f`` sits in source bin ``f % n`` and pooled bin ``f % m``.
+    """
+    freqs = signed_frequency(m)
     # For m == n the edge bin is its own mirror, nothing is unmatched.
-    return odd_padding and m % 2 == 0 and m < n
+    if odd_padding and m % 2 == 0 and m < n:
+        freqs = freqs[freqs != -(m // 2)]
+    return freqs
 
 
 def kept_bins(n: int, m: int, odd_padding: bool = False) -> np.ndarray:
     """Boolean mask over the ``n`` source bins that survive the plan's selection."""
-    head, tail = _head_tail(m)
+    n, m = _check_sizes(n, m)
     keep = np.zeros(n, dtype=bool)
-    keep[:head] = True
-    if tail:
-        keep[n - tail :] = True
-    if _pads_edge(n, m, odd_padding):
-        keep[n - m // 2] = False
+    keep[_kept_frequencies(n, m, odd_padding) % n] = True
     return keep
-
-
-def _selection(n: int, m: int, odd_padding: bool) -> np.ndarray:
-    head, tail = _head_tail(m)
-    d = np.zeros((m, n))
-    cols = np.r_[np.arange(head), np.arange(n - tail, n)]
-    d[np.arange(m), cols] = 1.0
-    if _pads_edge(n, m, odd_padding):
-        d[head] = 0.0  # drop the unmatched negative edge frequency
-    return d
 
 
 def make_plan(n: int, m: int, odd_padding: bool = False) -> FPoolPlan:
@@ -112,31 +127,30 @@ def make_plan(n: int, m: int, odd_padding: bool = False) -> FPoolPlan:
     ----------
     n, m : int
         Input and output lengths, ``1 <= m <= n`` (a plan never upsamples).
+        Anything but an integer (a float, a bool) is a ``ValueError``.
     odd_padding : bool
-        Zero the unmatched edge-frequency row for even ``m`` (see module
+        Drop the unmatched edge frequency for even ``m`` (see module
         docstring).  No effect for odd ``m`` or ``m == n``.
 
-    The kept bins round-trip exactly: ``matrix @ inverse_matrix`` is the
+    The matrices come from the closed form in the module docstring.  The
+    kept bins round-trip exactly: ``matrix @ inverse_matrix`` is the
     identity on the pooled domain (verified at build time to 1e-9).  Under
     odd padding it is instead the projection that removes the pooled
     domain's own edge frequency, I - s s^T / m with s_k = (-1)^k, since
     that frequency was deliberately dropped.
     """
-    n, m = int(n), int(m)
-    if n < 1:
-        raise ValueError(f"input length must be >= 1, got {n}")
-    if m < 1:
-        raise ValueError(f"output length must be >= 1, got {m}")
-    if m > n:
-        raise ValueError(f"plan must not upsample: m={m} > n={n}")
-    d = _selection(n, m, odd_padding)
-    f_n = dft_matrix(n)
-    f_m = dft_matrix(m)
-    matrix = (np.conj(f_m) @ (d @ f_n)) / n
-    inverse = (np.conj(f_n) @ (d.T @ f_m)) / m
+    n, m = _check_sizes(n, m)
+    freqs = _kept_frequencies(n, m, odd_padding)
+    period = math.lcm(n, m)
+    indicator = np.zeros(period)
+    indicator[freqs % period] = 1.0
+    kernel = np.fft.ifft(indicator) * (period / n)
+    phase = np.subtract.outer(np.arange(m) * (period // m), np.arange(n) * (period // n))
+    matrix = kernel[phase % period]
+    inverse = (n / m) * matrix.conj().T
     round_trip = matrix @ inverse
     expected = np.eye(m)
-    if _pads_edge(n, m, odd_padding):
+    if freqs.size < m:
         signs = np.where(np.arange(m) % 2 == 0, 1.0, -1.0)
         expected -= np.outer(signs, signs) / m
     if np.max(np.abs(round_trip - expected)) > EXACTNESS_TOL:
@@ -148,11 +162,25 @@ def make_plan(n: int, m: int, odd_padding: bool = False) -> FPoolPlan:
     return FPoolPlan(n=n, m=m, odd_padding=bool(odd_padding), matrix=matrix, inverse_matrix=inverse)
 
 
-def _check_real_1d(x, length: int, name: str) -> np.ndarray:
+def _finite_norm(x: np.ndarray, name: str) -> float:
+    """Euclidean norm of ``x``; ``ValueError`` if an entry is NaN or infinite.
+
+    A finite norm proves every entry finite, so the entrywise scan only runs
+    when the norm is not (a non-finite entry, or squares that overflow).
+    """
+    flat = x.ravel()
+    norm = math.sqrt(flat @ flat)  # np.linalg.norm's own formula, without its overhead
+    if not math.isfinite(norm) and not np.isfinite(x).all():
+        raise ValueError(f"{name} contains NaN or infinite values")
+    return norm
+
+
+def _check_real_1d(x, length: int, name: str) -> tuple[np.ndarray, float]:
+    """``x`` as a finite float vector of ``length``, with its norm."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.shape[0] != length:
         raise ValueError(f"{name} must be 1-D of length {length}, got shape {x.shape}")
-    return x
+    return x, _finite_norm(x, name)
 
 
 def _discard_imag(plan: FPoolPlan, values: np.ndarray, scale: float) -> np.ndarray:
@@ -171,11 +199,11 @@ def pool1d(plan: FPoolPlan, x) -> np.ndarray:
     Keeps the signal's mean, keeps every below-band tone exactly on the
     coarse grid, and annihilates every outside-band tone.  For plans with a
     conjugate-symmetric band the result is exactly real; otherwise the edge
-    residue is discarded and recorded in ``plan.last_imag_max``.
+    residue is discarded and recorded in ``plan.last_imag_max``.  NaN or
+    infinite entries are a ``ValueError``, as in every pool/unpool call.
     """
-    x = _check_real_1d(x, plan.n, "x")
-    y = plan.matrix @ x
-    return _discard_imag(plan, y, float(np.linalg.norm(x)))
+    x, scale = _check_real_1d(x, plan.n, "x")
+    return _discard_imag(plan, plan.matrix @ x, scale)
 
 
 def unpool1d(plan: FPoolPlan, y) -> np.ndarray:
@@ -185,40 +213,30 @@ def unpool1d(plan: FPoolPlan, y) -> np.ndarray:
     plan's kept band (plus the conjugate mirror of the edge bin for
     unpadded even ``m``).
     """
-    y = _check_real_1d(y, plan.m, "y")
-    x = plan.inverse_matrix @ y
-    return _discard_imag(plan, x, float(np.linalg.norm(y)))
+    y, scale = _check_real_1d(y, plan.m, "y")
+    return _discard_imag(plan, plan.inverse_matrix @ y, scale)
 
 
 def pool1d_fast(plan: FPoolPlan, x) -> np.ndarray:
     """Same map as :func:`pool1d` through the fast transform.
 
-    The dense matrix is the authoritative definition; this path exists for
+    The plan's matrix is the authoritative definition; this path exists for
     large inputs and must agree with it to the exactness tolerance.
     """
-    x = _check_real_1d(x, plan.n, "x")
-    s = np.fft.fft(x)
-    head, tail = _head_tail(plan.m)
-    sel = np.concatenate([s[:head], s[plan.n - tail :] if tail else s[:0]])
-    if _pads_edge(plan.n, plan.m, plan.odd_padding):
-        sel[head] = 0.0
-    y = np.fft.ifft(sel) * (plan.m / plan.n)
-    return _discard_imag(plan, y, float(np.linalg.norm(x)))
+    x, scale = _check_real_1d(x, plan.n, "x")
+    freqs = _kept_frequencies(plan.n, plan.m, plan.odd_padding)
+    pooled = np.zeros(plan.m, dtype=complex)
+    pooled[freqs % plan.m] = np.fft.fft(x)[freqs % plan.n]
+    return _discard_imag(plan, np.fft.ifft(pooled) * (plan.m / plan.n), scale)
 
 
 def unpool1d_fast(plan: FPoolPlan, y) -> np.ndarray:
     """Same map as :func:`unpool1d` through the fast transform."""
-    y = _check_real_1d(y, plan.m, "y")
-    s = np.fft.fft(y)
-    head, tail = _head_tail(plan.m)
+    y, scale = _check_real_1d(y, plan.m, "y")
+    freqs = _kept_frequencies(plan.n, plan.m, plan.odd_padding)
     full = np.zeros(plan.n, dtype=complex)
-    full[:head] = s[:head]
-    if tail:
-        full[plan.n - tail :] = s[head:]
-    if _pads_edge(plan.n, plan.m, plan.odd_padding):
-        full[plan.n - plan.m // 2] = 0.0
-    x = np.fft.ifft(full) * (plan.n / plan.m)
-    return _discard_imag(plan, x, float(np.linalg.norm(y)))
+    full[freqs % plan.n] = np.fft.fft(y)[freqs % plan.m]
+    return _discard_imag(plan, np.fft.ifft(full) * (plan.n / plan.m), scale)
 
 
 def pool2d(plan_rows: FPoolPlan, plan_cols: FPoolPlan, image) -> np.ndarray:
@@ -227,7 +245,8 @@ def pool2d(plan_rows: FPoolPlan, plan_cols: FPoolPlan, image) -> np.ndarray:
 
     The whole complex chain is evaluated first and the real part taken once
     at the end, so row/column order is irrelevant by associativity.  Accepts
-    ``(h, w)`` or ``(channels, h, w)``.
+    ``(h, w)`` or ``(channels, h, w)``; NaN or infinite entries are a
+    ``ValueError``.
     """
     return _apply_2d(plan_rows, plan_cols, image, plan_rows.matrix, plan_cols.matrix)
 
@@ -248,10 +267,10 @@ def _apply_2d(plan_rows, plan_cols, image, left: np.ndarray, right: np.ndarray) 
         raise ValueError(
             f"image must be (channels, {left.shape[1]}, {right.shape[1]}), got {np.shape(image)}"
         )
+    scale = _finite_norm(img, "image")
     out = np.empty((img.shape[0], left.shape[0], right.shape[0]), dtype=complex)
     for c in range(img.shape[0]):
         out[c] = left @ img[c] @ right.T
-    scale = float(np.linalg.norm(img))
     imag_max = float(np.max(np.abs(out.imag))) if out.size else 0.0
     for plan in (plan_rows, plan_cols):
         plan.last_imag_max = imag_max
@@ -274,9 +293,8 @@ def low_band_component(x, plan: FPoolPlan) -> np.ndarray:
     when both are run in complex arithmetic, for every parity and padding
     choice.
     """
-    x = _check_real_1d(x, plan.n, "x")
-    keep = kept_bins(plan.n, plan.m, plan.odd_padding)
-    return idft(dft(x) * keep) / plan.n
+    x, _ = _check_real_1d(x, plan.n, "x")
+    return np.fft.ifft(np.fft.fft(x) * kept_bins(plan.n, plan.m, plan.odd_padding))
 
 
 def reconstruction_decomposition(
@@ -300,13 +318,11 @@ def reconstruction_decomposition(
     downsampling to ``m`` samples reconstructs closer to ``x`` than the
     plan, whatever produced ``downsampled``.
     """
-    x = _check_real_1d(x, plan.n, "x")
+    x, _ = _check_real_1d(x, plan.n, "x")
     if downsampled is None:
         y = plan.matrix @ x
     else:
-        y = np.asarray(downsampled, dtype=float)
-        if y.ndim != 1 or y.shape[0] != plan.m:
-            raise ValueError(f"downsampled must have length {plan.m}, got shape {y.shape}")
+        y, _ = _check_real_1d(downsampled, plan.m, "downsampled")
     r = plan.inverse_matrix @ y
     x_l = low_band_component(x, plan)
     err_total = float(np.sum(np.abs(r - x) ** 2))

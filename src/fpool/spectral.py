@@ -8,9 +8,12 @@ Conventions, fixed once for the whole package:
 * negative frequencies live at tail indices (bin ``n-1`` is frequency -1),
 * ``circular_shift(x, d)`` places ``x[j]`` at index ``(j + d) % n``.
 
-The dense matrix product is the authoritative path.  ``dft_fast`` and
-``idft_fast`` are an optional FFT-backed shortcut that must agree with the
-matrix path to 1e-9; they never stand in for it when something is verified.
+``dft`` and ``idft`` are the dense matrix products, the literal definition
+of the convention; ``dft_fast`` and ``idft_fast`` are FFT-backed and must
+agree with them to 1e-9.  ``dft_matrix`` caches every order it is asked for,
+O(n**2) memory each, so nothing in the pooling path uses it: plans are built
+in closed form from one FFT (see :mod:`fpool.pooling`), and the dense
+matrices serve the tests as the reference the closed form is checked against.
 """
 
 from __future__ import annotations

@@ -187,6 +187,13 @@ class TestExitCodes:
     def test_bad_stride_is_a_config_error(self):
         assert run_cli("demo1d", "--n", "10", "--stride", "3", check=False).returncode == 2
 
+    def test_non_integer_sizes_and_non_finite_samples_are_config_errors(self, tmp_path):
+        out = str(tmp_path / "out.csv")
+        assert cli.main(["demo1d", "--n", "16.7", "--output", out]) == 2
+        signal = tmp_path / "signal.csv"
+        signal.write_text("\n".join(["0.5", "nan", "1.0", "-2.0"] * 4) + "\n")
+        assert cli.main(["demo1d", "--input", str(signal), "--stride", "2", "--output", out]) == 2
+
     def test_missing_input_file_is_an_io_error(self):
         assert run_cli("demo1d", "--input", "missing.csv", check=False).returncode == 3
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fpool import pipeline
 from fpool.baselines import PoolingKind
 from fpool.metrics import (
     SweepResult,
@@ -12,7 +13,7 @@ from fpool.metrics import (
     retention_ablation,
     shift_sweep,
 )
-from fpool.pipeline import Pipeline, Pool1d
+from fpool.pipeline import Pipeline, Pool1d, Pool2d
 from fpool.pooling import kept_bins, make_plan
 
 
@@ -54,6 +55,23 @@ class TestShiftSweep:
         assert not result.all_exact
         # the lone band-edge bin costs a little, not a lot
         assert 0.0 < result.max_error < 0.5 * result.input_norm
+
+    @pytest.mark.parametrize("shape", [(1, 16), (2, 8, 8)])
+    def test_direct_plan_is_built_once_per_sweep(self, monkeypatch, shape):
+        built = []
+        real = pipeline.make_plan
+        monkeypatch.setattr(pipeline, "make_plan", lambda *args: built.append(args) or real(*args))
+        kind = PoolingKind("fpool", 2)
+        if len(shape) == 2:
+            net = Pipeline((Pool1d(kind, real(16, 8, True)),), shape)
+            direct = real(16, 8)
+        else:
+            net = Pipeline((Pool2d(kind, real(8, 4, True), real(8, 4, True)),), shape)
+            direct = (real(8, 4), real(8, 4))
+        x = np.random.default_rng(4).standard_normal(shape)
+        result = shift_sweep(net, None, range(-5, 6), x)
+        assert len(built) == len(shape) - 1  # one plan per spatial axis, not per shift
+        assert result.errors == shift_sweep(net, direct, range(-5, 6), x).errors
 
     def test_shifts_must_stay_within_one_period(self):
         net = Pipeline((Pool1d(PoolingKind("avg", 2)),), (1, 8))

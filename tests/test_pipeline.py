@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fpool import pipeline
 from fpool.baselines import PoolingKind
 from fpool.pipeline import (
     Conv1d,
@@ -290,6 +291,16 @@ class TestTransitivityReport:
     def test_size_validation(self):
         with pytest.raises(ValueError):
             transitivity_report(seed=0, sizes=(8, 16, 4))
+
+    def test_sweep_row_builds_the_direct_plan_once(self, monkeypatch):
+        built = []
+        real = pipeline.make_plan
+        monkeypatch.setattr(pipeline, "make_plan", lambda *args: built.append(args) or real(*args))
+        net = Pipeline((Pool1d(PoolingKind("fpool", 4), real(16, 4, True)),), (1, 16))
+        x = np.random.default_rng(5).standard_normal((1, 16))
+        row = pipeline._sweep_row("pool", net, None, x, range(-16, 17))
+        assert built == [(16, 4)]
+        assert row.errors == pipeline._sweep_row("pool", net, real(16, 4), x, range(-16, 17)).errors
 
 
 class TestToyClassifier:

@@ -1,12 +1,13 @@
-"""Pooling-plan checks against independent FFT-bookkeeping oracles.
+"""Pooling-plan checks against independent oracles.
 
 The oracles below re-derive every claimed identity with np.fft and literal
-bin bookkeeping, independent of the dense matrix construction under test.
+bin bookkeeping, or with the dense transform-matrix products that define a
+plan, independent of the closed-form construction under test.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fpool.baselines import PoolingKind, pool_baseline
@@ -23,7 +24,22 @@ from fpool.pooling import (
     unpool1d_fast,
     unpool2d,
 )
-from fpool.spectral import circular_shift, signed_frequency
+from fpool.spectral import circular_shift, dft_matrix, signed_frequency
+
+
+def _dense_plan_oracle(n, m, odd_padding=False):
+    """The defining products ``conj(F_m) @ D @ F_n / n`` and ``conj(F_n) @ D.T @ F_m / m``.
+
+    ``D`` selects the first ceil(m/2) and last floor(m/2) of the n bins; odd
+    padding zeroes the row of the unmatched negative edge frequency.
+    """
+    head, tail = (m + 1) // 2, m - (m + 1) // 2
+    d = np.zeros((m, n))
+    d[np.arange(m), np.r_[np.arange(head), np.arange(n - tail, n)]] = 1.0
+    if odd_padding and m % 2 == 0 and m < n:
+        d[head] = 0.0
+    f_n, f_m = dft_matrix(n), dft_matrix(m)
+    return np.conj(f_m) @ d @ f_n / n, np.conj(f_n) @ d.T @ f_m / m
 
 
 def _pool_oracle(x, m, odd_padding=False):
@@ -149,6 +165,50 @@ class TestMakePlan:
             make_plan(8, 9)
         with pytest.raises(ValueError):
             make_plan(0, 0)
+
+    @pytest.mark.parametrize(
+        "n,m", [(16.7, 4), (16, 4.5), (16.0, 4), (np.float64(16), 4), ("16", 4), (16, True), (True, 1)]
+    )
+    def test_non_integer_sizes_are_rejected(self, n, m):
+        # int() would silently truncate 16.7 to 16 and read True as 1
+        with pytest.raises(ValueError, match="must be an integer"):
+            make_plan(n, m)
+        with pytest.raises(ValueError, match="must be an integer"):
+            kept_bins(n, m)
+
+    def test_numpy_integer_sizes_are_accepted(self):
+        plan = make_plan(np.int64(16), np.int32(4))
+        assert (plan.n, plan.m) == (16, 4) and type(plan.n) is int and type(plan.m) is int
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 96).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+        st.booleans(),
+    )
+    @example((1, 1), False)
+    @example((1, 1), True)
+    @example((12, 12), True)
+    @example((13, 13), False)
+    @example((17, 1), True)
+    @example((96, 7), False)
+    @example((96, 95), True)
+    @example((50, 48), True)
+    @example((45, 10), False)
+    def test_closed_form_matches_dense_products(self, sizes, pad):
+        n, m = sizes
+        plan = make_plan(n, m, pad)
+        matrix, inverse = _dense_plan_oracle(n, m, pad)
+        np.testing.assert_allclose(plan.matrix, matrix, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(plan.inverse_matrix, inverse, rtol=0, atol=1e-12)
+
+    def test_plans_and_decompositions_use_no_dense_transform(self):
+        x = np.random.default_rng(29).standard_normal(97)
+        before = dft_matrix.cache_info()
+        for pad in (False, True):
+            plan = make_plan(97, 30, pad)
+            reconstruction_decomposition(x, plan)
+            reconstruction_decomposition(x, plan, downsampled=np.ones(30))
+        assert dft_matrix.cache_info() == before
 
 
 class TestPool1d:
@@ -461,6 +521,51 @@ class TestReconstructionDecomposition:
                 keep[n - m // 2] = False
             oracle = np.fft.ifft(np.where(keep, s, 0))
             np.testing.assert_allclose(low_band_component(x, plan), oracle, atol=1e-10)
+
+
+_NON_FINITE_TARGETS = {
+    "pool1d": lambda plan, x, y: pool1d(plan, x),
+    "unpool1d": lambda plan, x, y: unpool1d(plan, y),
+    "pool1d_fast": lambda plan, x, y: pool1d_fast(plan, x),
+    "unpool1d_fast": lambda plan, x, y: unpool1d_fast(plan, y),
+    "pool2d": lambda plan, x, y: pool2d(plan, plan, np.outer(x, np.ones(plan.n))),
+    "unpool2d": lambda plan, x, y: unpool2d(plan, plan, np.outer(np.ones(plan.m), y)),
+    "decomposition_x": lambda plan, x, y: reconstruction_decomposition(x, plan),
+    "decomposition_downsampled": lambda plan, x, y: reconstruction_decomposition(
+        np.zeros(plan.n), plan, downsampled=y
+    ),
+}
+
+
+class TestNonFiniteInput:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(1, 24).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+        st.booleans(),
+        st.sampled_from(sorted(_NON_FINITE_TARGETS)),
+        st.sampled_from([np.nan, np.inf, -np.inf]),
+        st.integers(0, 10**6),
+    )
+    def test_any_non_finite_entry_is_rejected(self, sizes, pad, target, bad, where):
+        # NaN slips past an ``imag_max > tol`` comparison, so symmetric-band
+        # plans must reject it up front like every other plan
+        n, m = sizes
+        plan = make_plan(n, m, pad)
+        rng = np.random.default_rng(where)
+        x, y = rng.standard_normal(n), rng.standard_normal(m)
+        if target in ("unpool1d", "unpool1d_fast", "unpool2d", "decomposition_downsampled"):
+            y[where % m] = bad
+        else:
+            x[where % n] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            _NON_FINITE_TARGETS[target](plan, x, y)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_huge_finite_input_is_accepted(self):
+        # squares overflow the norm to inf, yet every entry is finite
+        plan = make_plan(8, 4, odd_padding=True)
+        out = pool1d(plan, np.full(8, 1e300))
+        np.testing.assert_allclose(out, np.full(4, 1e300), rtol=1e-9)
 
 
 class TestDiagnostics:
