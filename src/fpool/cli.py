@@ -236,7 +236,7 @@ def cmd_pool_image(config: ExperimentConfig) -> int:
     config.n = h
     if config.pooling == "fpool":
         plan_r = make_plan(h, max(1, h // config.stride), config.odd_padding)
-        plan_c = make_plan(w, max(1, w // config.stride), config.odd_padding)
+        plan_c = plan_r if w == h else make_plan(w, max(1, w // config.stride), config.odd_padding)
         pooled = pool2d(plan_r, plan_c, planar.astype(float))
     else:
         pk = PoolingKind(config.pooling, config.stride, config.window)
@@ -280,10 +280,11 @@ def cmd_consistency(config: ExperimentConfig) -> int:
 def cmd_bench(config: ExperimentConfig) -> int:
     """Deterministic cost table for the dense and fast paths.
 
-    The dense pooling matrix costs one m-by-n matrix-vector product per
-    signal (2nm flops); the fast path runs two transforms (about
-    5 n log2 n + 5 m log2 m flops by the usual FFT estimate).  Measured
-    wall times go to stderr so the CSV stays run-independent.
+    The dense path costs one real m-by-n matrix-vector product per signal
+    (2nm flops) plus an n-term dot product for the discarded edge residue;
+    the fast path runs two transforms (about 5 n log2 n + 5 m log2 m flops
+    by the usual FFT estimate).  Measured wall times go to stderr so the
+    CSV stays run-independent.
     """
     rows = []
     timings = []

@@ -329,7 +329,9 @@ def _as_upsampler(upsampler, in_shape, out_shape):
         if spatial == 1:
             upsampler = make_plan(in_shape[1], out_shape[1])
         else:
-            upsampler = (make_plan(in_shape[1], out_shape[1]), make_plan(in_shape[2], out_shape[2]))
+            rows = make_plan(in_shape[1], out_shape[1])
+            same = (in_shape[2], out_shape[2]) == (in_shape[1], out_shape[1])
+            upsampler = (rows, rows if same else make_plan(in_shape[2], out_shape[2]))
     if isinstance(upsampler, FPoolPlan):
         if spatial != 1:
             raise ValueError("a single plan upsamples 1-D features; pass a plan pair for images")

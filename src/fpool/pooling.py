@@ -6,20 +6,31 @@ With ``F`` the transform matrix of :mod:`fpool.spectral` and ``D`` the
 ``(m, n)`` selection of those bins, a plan is the matrix pair
 
 * pooling:    ``matrix = conj(F_m) @ D @ F_n / n``  (shape ``(m, n)``)
-* upsampling: ``inverse_matrix = conj(F_n) @ D.T @ F_m / m``  (shape ``(n, m)``)
+* upsampling: ``inverse_matrix = conj(F_n) @ D.T @ F_m / m``  (shape ``(n, m)``),
+  which equals ``(n/m) * conj(matrix).T``.
 
-:func:`make_plan` never forms those products.  Entry ``(i, j)`` of
-``matrix`` is a sampled Dirichlet kernel,
-``(1/n) * sum(exp(2j*pi*f*(i/m - j/n)) for f in K)``, which depends only on
-``(i*P/m - j*P/n) mod P`` with ``P = lcm(n, m)``.  One length-``P`` inverse
-FFT of the kept-bin indicator tabulates it and an integer gather fills the
-matrix: O(P log P + n*m) time and O(P + n*m) memory, with ``P = n`` whenever
-``m`` divides ``n``.  The inverse is ``(n/m) * conj(matrix).T``.  The build
-still verifies the full round trip ``matrix @ inverse_matrix``, an
-O(n*m**2) product that dominates the build.  Keeping the lowest-frequency
-band is what makes the pair exactly shift-equivalent and anti-aliasing; the
-matrices are applied as plain matmuls (O(n*m) per signal), which beat the
-FFT at the sizes the package runs.
+Entry ``(i, j)`` of ``matrix`` is a sampled Dirichlet kernel,
+``(1/n) * sum(exp(2j*pi*f*(i/m - j/n)) for f in K)``.  Each ``f`` paired
+with ``-f`` in ``K`` contributes a real cosine, so only the unmatched edge
+frequency ``-m/2`` (even ``m < n`` without odd padding) leaves an imaginary
+part, and that part has rank one:
+
+    ``matrix = A + 1j * outer(u, v)``,  ``u_i = (-1)**i``,  ``v_j = sin(pi*m*j/n) / n``
+
+with ``A`` real and ``v = 0`` for a conjugate-symmetric band.  A plan
+stores ``A`` and ``v`` only, 8 bytes per matrix entry.  :func:`make_plan`
+fills ``A`` from one length-``P`` inverse FFT of the kept-bin indicator,
+``P = lcm(n, m)``: the kernel depends only on ``(i*P/m - j*P/n) mod P``, so
+every row of ``A`` is a strided copy of it, O(P log P + n*m) in all.  Inputs
+are real, so ``Re(matrix @ x) = A @ x`` and every pool and unpool is a real
+BLAS product plus rank-1 terms, which also give the imaginary magnitude
+that the real-valued API discards.  The build verifies the full round
+trip ``matrix @ inverse_matrix`` entrywise, in complex modulus, from the
+same pieces: real part ``(n/m) * (A @ A.T + (v @ v) * outer(u, u))`` and
+imaginary part ``(n/m) * (outer(u, A @ v) - outer(A @ v, u))``; the
+symmetric product ``A @ A.T``, O(n*m**2/2), dominates the build.  Keeping
+the lowest-frequency band is what makes the pair exactly shift-equivalent
+and anti-aliasing.
 
 For even ``m`` the band edge is asymmetric: the negative edge frequency is
 kept without its positive mirror, so pooled values pick up a small imaginary
@@ -37,6 +48,7 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .spectral import signed_frequency
 
@@ -65,24 +77,48 @@ class ContractViolationError(RuntimeError):
 
 @dataclass(eq=False)
 class FPoolPlan:
-    """Pooling plan ``n -> m`` with its coupled inverse.
+    """Pooling plan ``n -> m`` with its coupled inverse, in real form.
 
-    ``matrix`` and ``inverse_matrix`` are treated as immutable after
-    construction.  ``last_imag_max`` is a diagnostic only: the largest
-    imaginary magnitude discarded by the most recent pool/unpool call.
+    ``real_part`` is the real ``(m, n)`` array ``A`` and ``edge_weights`` the
+    length-``n`` vector ``v`` of the module docstring; ``edge_signs`` is
+    ``u = (-1)**arange(m)``.  All three are read-only.  ``matrix`` and
+    ``inverse_matrix`` give the complex pair, assembled anew on each access;
+    no pool or unpool call reads them.  ``last_imag_max`` is a diagnostic
+    only: the largest imaginary magnitude discarded by the most recent
+    pool/unpool call.
     """
 
     n: int
     m: int
     odd_padding: bool
-    matrix: np.ndarray = field(repr=False)
-    inverse_matrix: np.ndarray = field(repr=False)
+    real_part: np.ndarray = field(repr=False)
+    edge_weights: np.ndarray = field(repr=False)
     last_imag_max: float = field(default=0.0, repr=False)
+    edge_signs: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.edge_signs = np.where(np.arange(self.m) % 2 == 0, 1.0, -1.0)
+        self.edge_signs.setflags(write=False)
 
     @property
     def symmetric_band(self) -> bool:
         """True when the kept band is conjugate-symmetric (exactly real round trip)."""
         return self.m % 2 == 1 or self.odd_padding or self.m == self.n
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Complex ``(m, n)`` pooling matrix ``A + 1j * outer(u, v)``."""
+        out = self.real_part + 1j * np.outer(self.edge_signs, self.edge_weights)
+        out.setflags(write=False)
+        return out
+
+    @property
+    def inverse_matrix(self) -> np.ndarray:
+        """Complex ``(n, m)`` coupled upsampling matrix ``(n/m) * conj(matrix).T``."""
+        imag = np.outer(self.edge_weights, self.edge_signs)
+        out = (self.n / self.m) * (self.real_part.T - 1j * imag)
+        out.setflags(write=False)
+        return out
 
 
 def _check_sizes(n, m) -> tuple[int, int]:
@@ -132,34 +168,60 @@ def make_plan(n: int, m: int, odd_padding: bool = False) -> FPoolPlan:
         Drop the unmatched edge frequency for even ``m`` (see module
         docstring).  No effect for odd ``m`` or ``m == n``.
 
-    The matrices come from the closed form in the module docstring.  The
-    kept bins round-trip exactly: ``matrix @ inverse_matrix`` is the
-    identity on the pooled domain (verified at build time to 1e-9).  Under
-    odd padding it is instead the projection that removes the pooled
-    domain's own edge frequency, I - s s^T / m with s_k = (-1)^k, since
-    that frequency was deliberately dropped.
+    The plan comes from the closed form in the module docstring.  The kept
+    bins round-trip exactly: ``matrix @ inverse_matrix`` is the identity on
+    the pooled domain (verified entrywise at build time: the complex modulus
+    of every entry's deviation is at most 1e-9).  Under odd padding it is instead the projection that
+    removes the pooled domain's own edge frequency, I - s s^T / m with
+    s_k = (-1)^k, since that frequency was deliberately dropped.
     """
     n, m = _check_sizes(n, m)
     freqs = _kept_frequencies(n, m, odd_padding)
     period = math.lcm(n, m)
     indicator = np.zeros(period)
     indicator[freqs % period] = 1.0
-    kernel = np.fft.ifft(indicator) * (period / n)
-    phase = np.subtract.outer(np.arange(m) * (period // m), np.arange(n) * (period // n))
-    matrix = kernel[phase % period]
-    inverse = (n / m) * matrix.conj().T
-    round_trip = matrix @ inverse
-    expected = np.eye(m)
-    if freqs.size < m:
-        signs = np.where(np.arange(m) % 2 == 0, 1.0, -1.0)
-        expected -= np.outer(signs, signs) / m
-    if np.max(np.abs(round_trip - expected)) > EXACTNESS_TOL:
+    kernel = np.fft.ifft(indicator).real * (period / n)
+    # A[i, j] = kernel[(i*a - j*b) mod P] = doubled[P + i*a - j*b], an index
+    # in [b, 2P - a] for 0 <= i < m, 0 <= j < n: each row is a strided slice.
+    a, b = period // m, period // n
+    doubled = np.concatenate([kernel, kernel])
+    step = doubled.itemsize
+    real_part = as_strided(doubled[period:], shape=(m, n), strides=(a * step, -b * step)).copy()
+    edge = np.zeros(n)
+    if m % 2 == 0 and m < n and not odd_padding:  # the unmatched edge frequency -m/2
+        edge = np.sin((np.pi / n) * (m * np.arange(n) % (2 * n))) / n
+    real_part.setflags(write=False)
+    edge.setflags(write=False)
+    plan = FPoolPlan(
+        n=n, m=m, odd_padding=bool(odd_padding), real_part=real_part, edge_weights=edge
+    )
+    _check_round_trip(plan, dropped_edge=freqs.size < m)
+    return plan
+
+
+def _check_round_trip(plan: FPoolPlan, dropped_edge: bool) -> None:
+    """Raise unless ``matrix @ inverse_matrix`` is, entry by entry, within
+    ``EXACTNESS_TOL`` in modulus of the identity (of ``I - s s^T / m`` when
+    the pooled edge frequency was dropped), computed from the real pieces."""
+    a, u, v = plan.real_part, plan.edge_signs, plan.edge_weights
+    uu, ratio = np.outer(u, u), plan.n / plan.m
+    expected = np.eye(plan.m)
+    if dropped_edge:
+        expected -= uu / plan.m
+    gram = a @ a.T  # one buffer and its transpose: a symmetric rank-k update
+    gram += (v @ v) * uu
+    gram *= ratio
+    imag = np.outer(u, a @ v)
+    imag = ratio * (imag - imag.T)
+    # squared modulus of each entry's deviation, in place: np.hypot costs 3x
+    gram -= expected
+    gram *= gram
+    imag *= imag
+    gram += imag
+    if np.max(gram) > EXACTNESS_TOL**2:
         raise ContractViolationError(
-            f"plan {n}->{m} round trip deviates from identity beyond {EXACTNESS_TOL}"
+            f"plan {plan.n}->{plan.m} round trip deviates from identity beyond {EXACTNESS_TOL}"
         )
-    matrix.setflags(write=False)
-    inverse.setflags(write=False)
-    return FPoolPlan(n=n, m=m, odd_padding=bool(odd_padding), matrix=matrix, inverse_matrix=inverse)
 
 
 def _finite_norm(x: np.ndarray, name: str) -> float:
@@ -183,13 +245,19 @@ def _check_real_1d(x, length: int, name: str) -> tuple[np.ndarray, float]:
     return x, _finite_norm(x, name)
 
 
-def _discard_imag(plan: FPoolPlan, values: np.ndarray, scale: float) -> np.ndarray:
-    imag_max = float(np.max(np.abs(values.imag))) if values.size else 0.0
-    plan.last_imag_max = imag_max
-    if plan.symmetric_band and imag_max > EXACTNESS_TOL * max(1.0, scale):
+def _record_imag(plans, imag_max: float, scale: float) -> None:
+    """Check the symmetric-band contract on the discarded imaginary magnitude,
+    then record it on every plan; a violation leaves every plan untouched."""
+    if all(p.symmetric_band for p in plans) and imag_max > EXACTNESS_TOL * max(1.0, scale):
         raise ContractViolationError(
             f"symmetric-band plan discarded imaginary magnitude {imag_max:.3e}"
         )
+    for p in plans:
+        p.last_imag_max = imag_max
+
+
+def _discard_imag(plan: FPoolPlan, values: np.ndarray, scale: float) -> np.ndarray:
+    _record_imag((plan,), float(np.max(np.abs(values.imag))) if values.size else 0.0, scale)
     return values.real.copy()
 
 
@@ -199,11 +267,13 @@ def pool1d(plan: FPoolPlan, x) -> np.ndarray:
     Keeps the signal's mean, keeps every below-band tone exactly on the
     coarse grid, and annihilates every outside-band tone.  For plans with a
     conjugate-symmetric band the result is exactly real; otherwise the edge
-    residue is discarded and recorded in ``plan.last_imag_max``.  NaN or
-    infinite entries are a ``ValueError``, as in every pool/unpool call.
+    residue ``u * (v @ x)`` is discarded and its magnitude recorded in
+    ``plan.last_imag_max``.  NaN or infinite entries are a ``ValueError``,
+    as in every pool/unpool call.
     """
     x, scale = _check_real_1d(x, plan.n, "x")
-    return _discard_imag(plan, plan.matrix @ x, scale)
+    _record_imag((plan,), abs(float(plan.edge_weights @ x)), scale)
+    return plan.real_part @ x
 
 
 def unpool1d(plan: FPoolPlan, y) -> np.ndarray:
@@ -214,7 +284,10 @@ def unpool1d(plan: FPoolPlan, y) -> np.ndarray:
     unpadded even ``m``).
     """
     y, scale = _check_real_1d(y, plan.m, "y")
-    return _discard_imag(plan, plan.inverse_matrix @ y, scale)
+    ratio = plan.n / plan.m
+    edge_peak = float(np.max(np.abs(plan.edge_weights)))
+    _record_imag((plan,), ratio * abs(float(plan.edge_signs @ y)) * edge_peak, scale)
+    return plan.real_part.T @ (ratio * y)
 
 
 def pool1d_fast(plan: FPoolPlan, x) -> np.ndarray:
@@ -243,22 +316,32 @@ def pool2d(plan_rows: FPoolPlan, plan_cols: FPoolPlan, image) -> np.ndarray:
     """Separable pooling of an image, rows through ``plan_rows`` and columns
     through ``plan_cols``.
 
-    The whole complex chain is evaluated first and the real part taken once
-    at the end, so row/column order is irrelevant by associativity.  Accepts
-    ``(h, w)`` or ``(channels, h, w)``; NaN or infinite entries are a
-    ``ValueError``.
+    The result is the real part of the complex chain
+    ``matrix_rows @ image @ matrix_cols.T``, evaluated in real arithmetic:
+    ``A_r @ image @ A_c.T`` minus the rank-1 product of the two edge terms.
+    Accepts ``(h, w)`` or ``(channels, h, w)``; NaN or infinite entries are
+    a ``ValueError``.
     """
-    return _apply_2d(plan_rows, plan_cols, image, plan_rows.matrix, plan_cols.matrix)
+    return _apply_2d(plan_rows, plan_cols, image, inverse=False)
 
 
 def unpool2d(plan_rows: FPoolPlan, plan_cols: FPoolPlan, pooled) -> np.ndarray:
     """Inverse of :func:`pool2d` on the kept band (coupled upsampling)."""
-    return _apply_2d(
-        plan_rows, plan_cols, pooled, plan_rows.inverse_matrix, plan_cols.inverse_matrix
-    )
+    return _apply_2d(plan_rows, plan_cols, pooled, inverse=True)
 
 
-def _apply_2d(plan_rows, plan_cols, image, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+def _axis_map(plan: FPoolPlan, inverse: bool):
+    """``(P, p, q)`` with the plan's pooling matrix equal to
+    ``P + 1j * outer(p, q)``, or with ``inverse`` its upsampling matrix
+    equal to ``(n/m) * (P + 1j * outer(p, q))``."""
+    if inverse:
+        return plan.real_part.T, -plan.edge_weights, plan.edge_signs
+    return plan.real_part, plan.edge_signs, plan.edge_weights
+
+
+def _apply_2d(plan_rows, plan_cols, image, inverse: bool) -> np.ndarray:
+    left, p_r, q_r = _axis_map(plan_rows, inverse)
+    right, p_c, q_c = _axis_map(plan_cols, inverse)
     img = np.asarray(image, dtype=float)
     squeeze = img.ndim == 2
     if squeeze:
@@ -268,22 +351,23 @@ def _apply_2d(plan_rows, plan_cols, image, left: np.ndarray, right: np.ndarray) 
             f"image must be (channels, {left.shape[1]}, {right.shape[1]}), got {np.shape(image)}"
         )
     scale = _finite_norm(img, "image")
-    out = np.empty((img.shape[0], left.shape[0], right.shape[0]), dtype=complex)
-    for c in range(img.shape[0]):
-        out[c] = left @ img[c] @ right.T
-    imag_max = float(np.max(np.abs(out.imag))) if out.size else 0.0
-    for plan in (plan_rows, plan_cols):
-        plan.last_imag_max = imag_max
-        if (
-            plan_rows.symmetric_band
-            and plan_cols.symmetric_band
-            and imag_max > EXACTNESS_TOL * max(1.0, scale)
-        ):
-            raise ContractViolationError(
-                f"symmetric-band plans discarded imaginary magnitude {imag_max:.3e}"
-            )
-    result = out.real.copy()
-    return result[0] if squeeze else result
+    if inverse:
+        img = img * (plan_rows.n / plan_rows.m * plan_cols.n / plan_cols.m)
+    out = left @ img @ right.T
+    # (P_r + i p_r q_r^T) X (P_c + i p_c q_c^T)^T: the product of the two
+    # edge terms is real, and the imaginary part is p_r a^T + b p_c^T with
+    # a = P_c X^T q_r and b = P_r X q_c; all vanish with the edge weights.
+    imag_max = 0.0
+    edge_r, edge_c = plan_rows.edge_weights.any(), plan_cols.edge_weights.any()
+    if edge_r or edge_c:
+        qx = q_r @ img
+        a, b = qx @ right.T, img @ q_c @ left.T
+        if edge_r and edge_c:
+            out -= (qx @ q_c)[:, None, None] * np.outer(p_r, p_c)
+        imag = p_r[:, None] * a[:, None, :] + b[:, :, None] * p_c
+        imag_max = float(np.max(np.abs(imag), initial=0.0))
+    _record_imag((plan_rows, plan_cols), imag_max, scale)
+    return out[0] if squeeze else out
 
 
 def low_band_component(x, plan: FPoolPlan) -> np.ndarray:
@@ -319,11 +403,16 @@ def reconstruction_decomposition(
     plan, whatever produced ``downsampled``.
     """
     x, _ = _check_real_1d(x, plan.n, "x")
+    a, u, v = plan.real_part, plan.edge_signs, plan.edge_weights
     if downsampled is None:
-        y = plan.matrix @ x
+        y_re, y_im = a @ x, (v @ x) * u  # y = matrix @ x
     else:
-        y, _ = _check_real_1d(downsampled, plan.m, "downsampled")
-    r = plan.inverse_matrix @ y
+        y_re, _ = _check_real_1d(downsampled, plan.m, "downsampled")
+        y_im = np.zeros(plan.m)
+    # r = inverse_matrix @ y = (n/m) * (A.T - 1j * outer(v, u)) @ (y_re + 1j * y_im)
+    r = (plan.n / plan.m) * (
+        a.T @ y_re + (u @ y_im) * v + 1j * (a.T @ y_im - (u @ y_re) * v)
+    )
     x_l = low_band_component(x, plan)
     err_total = float(np.sum(np.abs(r - x) ** 2))
     err_low = float(np.sum(np.abs(r - x_l) ** 2))

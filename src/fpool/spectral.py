@@ -11,9 +11,10 @@ Conventions, fixed once for the whole package:
 ``dft`` and ``idft`` are the dense matrix products, the literal definition
 of the convention; ``dft_fast`` and ``idft_fast`` are FFT-backed and must
 agree with them to 1e-9.  ``dft_matrix`` caches every order it is asked for,
-O(n**2) memory each, so nothing in the pooling path uses it: plans are built
-in closed form from one FFT (see :mod:`fpool.pooling`), and the dense
-matrices serve the tests as the reference the closed form is checked against.
+O(n**2) memory each, so no other function of the package calls it: plans are
+built in closed form from one FFT (see :mod:`fpool.pooling`),
+:func:`low_high_split` runs ``np.fft``, and the dense matrices serve the
+tests as the reference both are checked against.
 """
 
 from __future__ import annotations
@@ -155,6 +156,5 @@ def low_high_split(x, mu: int) -> tuple[np.ndarray, np.ndarray]:
     if not 1 <= mu <= math.ceil(n / 2):
         raise ValueError(f"mu must satisfy 1 <= mu <= ceil(n/2) = {math.ceil(n / 2)}, got {mu}")
     keep = np.abs(signed_frequency(n)) <= mu - 1
-    z = idft(dft(x) * keep) / n  # imaginary residue is zero for a symmetric band
-    x_l = z.real
+    x_l = np.fft.ifft(np.fft.fft(x) * keep).real  # imaginary residue is zero for a symmetric band
     return x_l, x - x_l

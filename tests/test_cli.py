@@ -128,6 +128,18 @@ class TestPoolImage:
         pixels, _, _ = read_netpbm(dst)
         np.testing.assert_array_equal(pixels, [[85, 119], [221, 255]])
 
+    @pytest.mark.parametrize(
+        "shape,plans", [((16, 16), [(16, 8, True)]), ((16, 12), [(16, 8, True), (12, 6, True)])]
+    )
+    def test_each_distinct_axis_plan_is_built_once(self, tmp_path, monkeypatch, shape, plans):
+        built = []
+        real = cli.make_plan
+        monkeypatch.setattr(cli, "make_plan", lambda *args: built.append(args) or real(*args))
+        src, dst = tmp_path / "src.pgm", tmp_path / "dst.pgm"
+        write_netpbm(src, np.random.default_rng(3).integers(0, 256, size=shape))
+        assert cli.main(["pool", "--input", str(src), "--output", str(dst), "--stride", "2"]) == 0
+        assert built == plans
+
     def test_missing_output_flag_is_a_config_error(self, tmp_path):
         src = tmp_path / "src.pgm"
         write_netpbm(src, np.zeros((4, 4)))

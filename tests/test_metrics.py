@@ -56,21 +56,23 @@ class TestShiftSweep:
         # the lone band-edge bin costs a little, not a lot
         assert 0.0 < result.max_error < 0.5 * result.input_norm
 
-    @pytest.mark.parametrize("shape", [(1, 16), (2, 8, 8)])
+    @pytest.mark.parametrize("shape", [(1, 16), (2, 8, 8), (2, 8, 6)])
     def test_direct_plan_is_built_once_per_sweep(self, monkeypatch, shape):
         built = []
         real = pipeline.make_plan
         monkeypatch.setattr(pipeline, "make_plan", lambda *args: built.append(args) or real(*args))
         kind = PoolingKind("fpool", 2)
+        axes = [(n, n // 2) for n in shape[1:]]
         if len(shape) == 2:
             net = Pipeline((Pool1d(kind, real(16, 8, True)),), shape)
             direct = real(16, 8)
         else:
-            net = Pipeline((Pool2d(kind, real(8, 4, True), real(8, 4, True)),), shape)
-            direct = (real(8, 4), real(8, 4))
+            net = Pipeline((Pool2d(kind, *(real(n, m, True) for n, m in axes)),), shape)
+            direct = tuple(real(n, m) for n, m in axes)
         x = np.random.default_rng(4).standard_normal(shape)
         result = shift_sweep(net, None, range(-5, 6), x)
-        assert len(built) == len(shape) - 1  # one plan per spatial axis, not per shift
+        # one plan per distinct axis, not per shift: a square image shares it
+        assert sorted(built) == sorted(set(axes))
         assert result.errors == shift_sweep(net, direct, range(-5, 6), x).errors
 
     def test_shifts_must_stay_within_one_period(self):

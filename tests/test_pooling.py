@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from fpool.baselines import PoolingKind, pool_baseline
 from fpool.pooling import (
     ContractViolationError,
+    FPoolPlan,
+    _check_round_trip,
     kept_bins,
     low_band_component,
     make_plan,
@@ -92,6 +94,10 @@ def _round_trip_oracle(x, m, odd_padding=False):
             out[m // 2] = v
             out[n - m // 2] = v
     return np.real(np.fft.ifft(out))
+
+
+# (n, m) with 1 <= m <= n <= 96: every m, m = n, m = 1 and m not dividing n
+_PLAN_SIZES = st.integers(1, 96).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n)))
 
 
 def _signals(max_n=48):
@@ -181,10 +187,7 @@ class TestMakePlan:
         assert (plan.n, plan.m) == (16, 4) and type(plan.n) is int and type(plan.m) is int
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        st.integers(1, 96).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
-        st.booleans(),
-    )
+    @given(_PLAN_SIZES, st.booleans())
     @example((1, 1), False)
     @example((1, 1), True)
     @example((12, 12), True)
@@ -201,6 +204,20 @@ class TestMakePlan:
         np.testing.assert_allclose(plan.matrix, matrix, rtol=0, atol=1e-12)
         np.testing.assert_allclose(plan.inverse_matrix, inverse, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "n,m,pad",
+        [(16, 8, False), (16, 8, True), (97, 30, False), (96, 7, False), (64, 64, False), (1, 1, False)],
+    )
+    def test_plan_stores_one_real_matrix(self, n, m, pad):
+        # a real (m, n) matrix plus O(n + m) edge vectors, never the complex pair
+        plan = make_plan(n, m, pad)
+        arrays = [v for v in vars(plan).values() if isinstance(v, np.ndarray)]
+        assert arrays and not any(np.iscomplexobj(a) for a in arrays)
+        assert all(a.base is None for a in arrays)  # no view into a larger buffer
+        assert sum(a.nbytes for a in arrays) <= 8 * m * n + 16 * (m + n)
+        assert not any(a.flags.writeable for a in arrays)
+        assert not plan.matrix.flags.writeable and not plan.inverse_matrix.flags.writeable
+
     def test_plans_and_decompositions_use_no_dense_transform(self):
         x = np.random.default_rng(29).standard_normal(97)
         before = dft_matrix.cache_info()
@@ -209,6 +226,32 @@ class TestMakePlan:
             reconstruction_decomposition(x, plan)
             reconstruction_decomposition(x, plan, downsampled=np.ones(30))
         assert dft_matrix.cache_info() == before
+
+    @staticmethod
+    def _skewed_plan(offset):
+        """The 16 -> 8 plan with row 0 nudged so that round-trip entry (1, 0)
+        is off by ``offset`` in its real part and by ``-offset`` in its
+        imaginary part; no other entry is off by more than ``offset``."""
+        base = make_plan(16, 8)
+        a, v = base.real_part, base.edge_weights
+        # v is orthogonal to the rows of A, so A w = e_1 and v @ w = 1
+        w = np.linalg.pinv(a)[:, 1] + v / (v @ v)
+        skewed = a.copy()
+        skewed[0] += (offset * 8 / 16) * w
+        return FPoolPlan(n=16, m=8, odd_padding=False, real_part=skewed, edge_weights=v)
+
+    @pytest.mark.parametrize("offset,rejected", [(0.8e-9, True), (0.6e-9, False)])
+    def test_round_trip_check_bounds_the_complex_modulus(self, offset, rejected):
+        plan = self._skewed_plan(offset)
+        deviation = plan.matrix @ plan.inverse_matrix - np.eye(8)
+        # each part alone is within the bound; only the modulus tells them apart
+        assert np.max(np.abs(deviation.real)) < 1e-9 and np.max(np.abs(deviation.imag)) < 1e-9
+        assert bool(np.max(np.abs(deviation)) > 1e-9) == rejected
+        if rejected:
+            with pytest.raises(ContractViolationError):
+                _check_round_trip(plan, dropped_edge=False)
+        else:
+            _check_round_trip(plan, dropped_edge=False)
 
 
 class TestPool1d:
@@ -575,6 +618,37 @@ class TestDiagnostics:
         pool1d(plan, rng.standard_normal(16))
         assert plan.last_imag_max <= 1e-9
 
+    @staticmethod
+    def _rogue_plan():
+        """A symmetric-band plan whose edge weights are not zero, as no build makes."""
+        base = make_plan(16, 8)
+        plan = FPoolPlan(
+            n=16, m=8, odd_padding=True, real_part=base.real_part, edge_weights=base.edge_weights
+        )
+        assert plan.symmetric_band and plan.edge_weights.any()
+        return plan
+
+    def test_contract_check_catches_a_symmetric_plan_with_edge_weights(self):
+        rogue = self._rogue_plan()
+        rng = np.random.default_rng(30)
+        x, y = rng.standard_normal(16), (-1.0) ** np.arange(8)  # y excites the edge tone
+        for call in (lambda: pool1d(rogue, x), lambda: unpool1d(rogue, y)):
+            with pytest.raises(ContractViolationError):
+                call()
+            assert rogue.last_imag_max == 0.0  # a violation records nothing
+
+    @pytest.mark.parametrize("kernel", [pool2d, unpool2d])
+    @pytest.mark.parametrize("rogue_first", [True, False])
+    def test_2d_contract_violation_updates_neither_plan(self, kernel, rogue_first):
+        rogue, clean = self._rogue_plan(), make_plan(16, 8, odd_padding=True)
+        rogue.last_imag_max = clean.last_imag_max = -1.0
+        plans = (rogue, clean) if rogue_first else (clean, rogue)
+        size = 16 if kernel is pool2d else 8
+        image = np.random.default_rng(31).standard_normal((size, size)) + 1.0
+        with pytest.raises(ContractViolationError):
+            kernel(*plans, image)
+        assert rogue.last_imag_max == -1.0 and clean.last_imag_max == -1.0
+
     def test_contract_error_type_exists(self):
         assert issubclass(ContractViolationError, RuntimeError)
 
@@ -584,6 +658,91 @@ class TestDiagnostics:
         plan = make_plan(16, 8, odd_padding=True)
         out = pool1d(plan, rng.standard_normal(16))
         assert abs(np.fft.fft(out)[4]) <= 1e-9
+
+
+def _assert_real_part(got, want, scale, plans=()):
+    """``got`` is ``Re(want)`` and every plan recorded ``max |Im(want)|``."""
+    tol = 1e-12 * max(1.0, scale)
+    np.testing.assert_allclose(got, want.real, rtol=0, atol=tol)
+    imag_max = float(np.max(np.abs(want.imag), initial=0.0))
+    for plan in plans:
+        assert plan.last_imag_max == pytest.approx(imag_max, rel=0, abs=tol)
+
+
+class TestRealFormAgainstOracle:
+    """Every real-arithmetic kernel against the complex dense products."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_PLAN_SIZES, st.booleans(), st.integers(0, 2**32 - 1))
+    @example((16, 8), False, 0)
+    @example((1, 1), False, 0)
+    @example((50, 48), True, 0)
+    def test_1d_kernels(self, sizes, pad, seed):
+        n, m = sizes
+        plan = make_plan(n, m, pad)
+        matrix, inverse = _dense_plan_oracle(n, m, pad)
+        rng = np.random.default_rng(seed)
+        x, y = rng.standard_normal(n), rng.standard_normal(m)
+        _assert_real_part(pool1d(plan, x), matrix @ x, np.linalg.norm(x), [plan])
+        _assert_real_part(unpool1d(plan, y), inverse @ y, np.linalg.norm(y), [plan])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        _PLAN_SIZES,
+        _PLAN_SIZES,
+        st.booleans(),
+        st.booleans(),
+        st.integers(1, 3),
+        st.integers(0, 2**32 - 1),
+    )
+    @example((16, 8), (12, 6), False, False, 2, 0)
+    @example((16, 8), (16, 8), False, True, 3, 0)
+    def test_2d_kernels_batched_and_reused(self, rows, cols, pad_r, pad_c, channels, seed):
+        pr, pc = make_plan(*rows, pad_r), make_plan(*cols, pad_c)
+        mat_r, inv_r = _dense_plan_oracle(*rows, pad_r)
+        mat_c, inv_c = _dense_plan_oracle(*cols, pad_c)
+        rng = np.random.default_rng(seed)
+        image = rng.standard_normal((channels, rows[0], cols[0]))
+        pooled = rng.standard_normal((channels, rows[1], cols[1]))
+        for kernel, data, left, right in (
+            (pool2d, image, mat_r, mat_c),
+            (unpool2d, pooled, inv_r, inv_c),
+        ):
+            got = kernel(pr, pc, data)
+            scale = np.linalg.norm(data)
+            _assert_real_part(got, left @ data @ right.T, scale, [pr, pc])
+            tol = 1e-12 * max(1.0, scale)
+            for c in range(channels):  # a stack equals its channels one by one
+                np.testing.assert_allclose(got[c], kernel(pr, pc, data[c]), rtol=0, atol=tol)
+            np.testing.assert_array_equal(kernel(pr, pc, data), got)  # reuse changes nothing
+
+    @settings(max_examples=60, deadline=None)
+    @given(_PLAN_SIZES, st.booleans(), st.integers(0, 2**32 - 1))
+    @example((16, 8), False, 0)
+    def test_reconstruction_decomposition(self, sizes, pad, seed):
+        n, m = sizes
+        plan = make_plan(n, m, pad)
+        matrix, inverse = _dense_plan_oracle(n, m, pad)
+        rng = np.random.default_rng(seed)
+        x, y = rng.standard_normal(n), rng.standard_normal(m)
+        band = inverse @ (matrix @ x)  # the complex round trip projects onto the kept band
+        for downsampled, r in ((None, band), (y, inverse @ y)):
+            want = [np.sum(np.abs(a - b) ** 2) for a, b in ((r, x), (r, band), (x, band))]
+            got = reconstruction_decomposition(x, plan, downsampled=downsampled)
+            # squared errors: the 1e-12 relative bound applies to the squared scale
+            scale = max(1.0, np.linalg.norm(x) + np.linalg.norm(y)) ** 2
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
+
+    def test_rank_one_imaginary_part(self):
+        # Im(matrix) is exactly u v^T: u alternates, v is the unmatched edge tone
+        for n, m in [(16, 8), (17, 4), (30, 12)]:
+            matrix, _ = _dense_plan_oracle(n, m)
+            plan = make_plan(n, m)
+            u, v = (-1.0) ** np.arange(m), np.sin(np.pi * m * np.arange(n) / n) / n
+            np.testing.assert_allclose(matrix.imag, np.outer(u, v), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(plan.real_part, matrix.real, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(plan.edge_weights, v, rtol=0, atol=1e-15)
+            assert not make_plan(n, m, odd_padding=True).edge_weights.any()
 
 
 class TestFastPath:

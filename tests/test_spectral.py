@@ -212,6 +212,20 @@ class TestLowHighSplit:
             b_l, _ = low_high_split(x, 5)
             np.testing.assert_allclose(a_l, circular_shift(b_l, delta), atol=1e-9)
 
+    def test_matches_the_dense_masked_transform(self):
+        rng = np.random.default_rng(7)
+        for n, mu in [(16, 4), (17, 9), (20, 10), (9, 1)]:
+            x = rng.standard_normal(n)
+            keep = np.abs(signed_frequency(n)) <= mu - 1
+            x_l, _ = low_high_split(x, mu)
+            np.testing.assert_allclose(x_l, (idft(dft(x) * keep) / n).real, atol=1e-10)
+
+    def test_uses_no_dense_transform(self):
+        x = np.random.default_rng(8).standard_normal(1031)
+        before = dft_matrix.cache_info()
+        low_high_split(x, 200)
+        assert dft_matrix.cache_info() == before
+
     def test_mu_bounds(self):
         x = np.zeros(10)
         with pytest.raises(ValueError):
