@@ -27,21 +27,17 @@ from .pooling import (
     kept_bins,
     make_plan,
     pool1d,
-    pool1d_fast,
     pool2d,
     reconstruction_decomposition,
     unpool1d,
-    unpool1d_fast,
     unpool2d,
 )
 from .spectral import (
     circular_shift,
     dft,
-    dft_fast,
     dft_matrix,
     diagonal_shift,
     idft,
-    idft_fast,
     low_high_split,
     shift_phase,
     signed_frequency,
@@ -56,17 +52,14 @@ __all__ = [
     "circular_shift",
     "consistency_from_predictions",
     "dft",
-    "dft_fast",
     "dft_matrix",
     "diagonal_shift",
     "equivalence_error",
     "idft",
-    "idft_fast",
     "kept_bins",
     "low_high_split",
     "make_plan",
     "pool1d",
-    "pool1d_fast",
     "pool2d",
     "pool_baseline",
     "pool_baseline_2d",
@@ -79,7 +72,6 @@ __all__ = [
     "toy_classifier_consistency",
     "transitivity_report",
     "unpool1d",
-    "unpool1d_fast",
     "unpool2d",
 ]
 

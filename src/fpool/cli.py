@@ -24,15 +24,7 @@ import numpy as np
 from .baselines import BASELINE_KINDS, PoolingKind, pool_baseline, pool_baseline_2d
 from .netpbm import read_netpbm, write_netpbm
 from .pipeline import Pipeline, Pool1d, toy_classifier_predictions, transitivity_report
-from .pooling import (
-    ContractViolationError,
-    EXACTNESS_TOL,
-    make_plan,
-    pool1d,
-    pool1d_fast,
-    pool2d,
-    unpool1d,
-)
+from .pooling import EXACTNESS_TOL, ContractViolationError, make_plan, pool1d, pool2d, unpool1d
 from .metrics import consistency_from_predictions, shift_sweep
 from .signals import is_signal_spec, load_signal_column, make_signal
 from .spectral import circular_shift
@@ -63,9 +55,6 @@ class ExperimentConfig:
     seed: int = 0
     input_row: int | None = None  # resolved when the 1D input comes from an image
 
-    def header(self) -> dict:
-        return {"command": self.command, **asdict(self)}
-
 
 def _fmt(v) -> str:
     if isinstance(v, bool):
@@ -79,9 +68,14 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _header(config: ExperimentConfig) -> str:
+    """The resolved configuration as sorted ``# key=value`` lines."""
+    fields = asdict(config)
+    return "".join(f"# {key}={_fmt(fields[key])}\n" for key in sorted(fields))
+
+
 def _emit_csv(config: ExperimentConfig, rows, stream) -> None:
-    for key in sorted(config.header()):
-        stream.write(f"# {key}={_fmt(config.header()[key])}\n")
+    stream.write(_header(config))
     stream.write("shift,series,value\n")
     for shift, series, value in rows:
         if "," in series:
@@ -117,10 +111,6 @@ def _load_1d_input(config: ExperimentConfig) -> np.ndarray:
     )
 
 
-def _upsample_through(plan, y: np.ndarray) -> np.ndarray:
-    return unpool1d(plan, y)
-
-
 def cmd_demo1d(config: ExperimentConfig) -> int:
     """Both evaluation orders for every pooling, plus their gap.
 
@@ -149,8 +139,8 @@ def cmd_demo1d(config: ExperimentConfig) -> int:
                 raise ValueError(f"--m {m} conflicts with stride {stride} for {kind} pooling")
             pooled = pool_baseline(pk, x)
             pooled_shifted = pool_baseline(pk, circular_shift(x, delta))
-        first = circular_shift(_upsample_through(plan, pooled), delta)
-        second = _upsample_through(plan, pooled_shifted)
+        first = circular_shift(unpool1d(plan, pooled), delta)
+        second = unpool1d(plan, pooled_shifted)
         gap = float(np.max(np.abs(first - second)))
         for j in range(n):
             rows.append((j, f"{kind}/pool_up_shift", float(first[j])))
@@ -243,8 +233,7 @@ def cmd_pool_image(config: ExperimentConfig) -> int:
         pooled = pool_baseline_2d(pk, planar.astype(float))
     out = pooled[0] if pixels.ndim == 2 else np.moveaxis(pooled, 0, 2)
     write_netpbm(config.output, out, maxval=maxval, magic=magic)
-    for key in sorted(config.header()):
-        sys.stderr.write(f"# {key}={_fmt(config.header()[key])}\n")
+    sys.stderr.write(_header(config))
     return 0
 
 
@@ -278,13 +267,13 @@ def cmd_consistency(config: ExperimentConfig) -> int:
 
 
 def cmd_bench(config: ExperimentConfig) -> int:
-    """Deterministic cost table for the dense and fast paths.
+    """Deterministic cost table of the pooling kernel against the FFT route.
 
-    The dense path costs one real m-by-n matrix-vector product per signal
+    :func:`pool1d` costs one real m-by-n matrix-vector product per signal
     (2nm flops) plus an n-term dot product for the discarded edge residue;
-    the fast path runs two transforms (about 5 n log2 n + 5 m log2 m flops
-    by the usual FFT estimate).  Measured wall times go to stderr so the
-    CSV stays run-independent.
+    pooling through two transforms would cost about 5 n log2 n + 5 m log2 m
+    flops by the usual FFT estimate.  The kernel's measured wall time goes
+    to stderr so the CSV stays run-independent.
     """
     rows = []
     timings = []
@@ -301,13 +290,7 @@ def cmd_bench(config: ExperimentConfig) -> int:
             t0 = time.perf_counter()
             for _ in range(reps):
                 pool1d(plan, x)
-            t1 = time.perf_counter()
-            for _ in range(reps):
-                pool1d_fast(plan, x)
-            t2 = time.perf_counter()
-            timings.append(
-                f"# n={n} m={m} dense_s={(t1 - t0) / reps:.3e} fast_s={(t2 - t1) / reps:.3e}"
-            )
+            timings.append(f"# n={n} m={m} pool1d_s={(time.perf_counter() - t0) / reps:.3e}")
     _write_rows(config, rows)
     for line in timings:
         sys.stderr.write(line + "\n")

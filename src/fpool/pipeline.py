@@ -37,12 +37,13 @@ __all__ = [
     "transitivity_report",
 ]
 
-PADDINGS = ("circular", "zero")
+# np.pad mode of each convolution padding: taps read slices of the padded input
+_PAD_MODES = {"circular": "wrap", "zero": "constant"}
 
 
 def _check_padding(padding: str) -> None:
-    if padding not in PADDINGS:
-        raise ValueError(f"padding must be one of {PADDINGS}, got {padding!r}")
+    if padding not in _PAD_MODES:
+        raise ValueError(f"padding must be one of {tuple(_PAD_MODES)}, got {padding!r}")
 
 
 @dataclass(eq=False)
@@ -67,18 +68,13 @@ class Conv1d:
 
     def apply(self, x):
         x = np.asarray(x, dtype=float)
-        c_out, c_in, k = self.weights.shape
+        c_out, _, k = self.weights.shape
         off = k // 2
         n = x.shape[-1]
+        xp = np.pad(x, ((0, 0), (off, k - 1 - off)), mode=_PAD_MODES[self.padding])
         out = np.zeros((c_out, n))
-        if self.padding == "circular":
-            for j in range(k):
-                out += np.einsum("oi,in->on", self.weights[:, :, j], np.roll(x, off - j, axis=-1))
-        else:
-            xp = np.zeros((c_in, n + k - 1))
-            xp[:, off : off + n] = x
-            for j in range(k):
-                out += np.einsum("oi,in->on", self.weights[:, :, j], xp[:, j : j + n])
+        for j in range(k):
+            out += np.einsum("oi,in->on", self.weights[:, :, j], xp[:, j : j + n])
         return out
 
 
@@ -106,23 +102,15 @@ class Conv2d:
 
     def apply(self, x):
         x = np.asarray(x, dtype=float)
-        c_out, c_in, kh, kw = self.weights.shape
+        c_out, _, kh, kw = self.weights.shape
         oh, ow = kh // 2, kw // 2
         h, w = x.shape[-2:]
+        widths = ((0, 0), (oh, kh - 1 - oh), (ow, kw - 1 - ow))
+        xp = np.pad(x, widths, mode=_PAD_MODES[self.padding])
         out = np.zeros((c_out, h, w))
-        if self.padding == "circular":
-            for a in range(kh):
-                for b in range(kw):
-                    rolled = np.roll(x, (oh - a, ow - b), axis=(-2, -1))
-                    out += np.einsum("oi,ihw->ohw", self.weights[:, :, a, b], rolled)
-        else:
-            xp = np.zeros((c_in, h + kh - 1, w + kw - 1))
-            xp[:, oh : oh + h, ow : ow + w] = x
-            for a in range(kh):
-                for b in range(kw):
-                    out += np.einsum(
-                        "oi,ihw->ohw", self.weights[:, :, a, b], xp[:, a : a + h, b : b + w]
-                    )
+        for a in range(kh):
+            for b in range(kw):
+                out += np.einsum("oi,ihw->ohw", self.weights[:, :, a, b], xp[:, a : a + h, b : b + w])
         return out
 
 
@@ -137,7 +125,8 @@ class ReLU:
 
 @dataclass(eq=False)
 class Pool1d:
-    """Pooling along the trailing axis of ``(c, n)`` features."""
+    """Pooling along the trailing axis of ``(c, n)`` features; the channels
+    are :func:`pool1d`'s leading batch axis, so a forward is one call."""
 
     kind: PoolingKind
     plan: FPoolPlan | None = None
@@ -161,7 +150,7 @@ class Pool1d:
     def apply(self, x):
         x = np.asarray(x, dtype=float)
         if self.kind.kind == "fpool":
-            return np.stack([pool1d(self.plan, row) for row in x])
+            return pool1d(self.plan, x)
         return pool_baseline(self.kind, x)
 
 
@@ -336,7 +325,7 @@ def _as_upsampler(upsampler, in_shape, out_shape):
         if spatial != 1:
             raise ValueError("a single plan upsamples 1-D features; pass a plan pair for images")
         plan = upsampler
-        return lambda y: np.stack([unpool1d(plan, row) for row in y])
+        return lambda y: unpool1d(plan, y)
     if isinstance(upsampler, tuple) and all(isinstance(p, FPoolPlan) for p in upsampler):
         pr, pc = upsampler
         return lambda y: unpool2d(pr, pc, y)

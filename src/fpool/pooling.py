@@ -22,9 +22,11 @@ stores ``A`` and ``v`` only, 8 bytes per matrix entry.  :func:`make_plan`
 fills ``A`` from one length-``P`` inverse FFT of the kept-bin indicator,
 ``P = lcm(n, m)``: the kernel depends only on ``(i*P/m - j*P/n) mod P``, so
 every row of ``A`` is a strided copy of it, O(P log P + n*m) in all.  Inputs
-are real, so ``Re(matrix @ x) = A @ x`` and every pool and unpool is a real
-BLAS product plus rank-1 terms, which also give the imaginary magnitude
-that the real-valued API discards.  The build verifies the full round
+are real, so ``Re(matrix @ x) = A @ x``: :func:`pool1d` and :func:`unpool1d`
+are one real BLAS product over the trailing axis of a signal or of a whole
+batch with any leading axes, :func:`pool2d` and :func:`unpool2d` one per
+image axis, plus rank-1 terms that also give the imaginary magnitude the
+real-valued API discards.  The build verifies the full round
 trip ``matrix @ inverse_matrix`` entrywise, in complex modulus, from the
 same pieces: real part ``(n/m) * (A @ A.T + (v @ v) * outer(u, u))`` and
 imaginary part ``(n/m) * (outer(u, A @ v) - outer(A @ v, u))``; the
@@ -59,11 +61,9 @@ __all__ = [
     "low_band_component",
     "make_plan",
     "pool1d",
-    "pool1d_fast",
     "pool2d",
     "reconstruction_decomposition",
     "unpool1d",
-    "unpool1d_fast",
     "unpool2d",
 ]
 
@@ -237,18 +237,20 @@ def _finite_norm(x: np.ndarray, name: str) -> float:
     return norm
 
 
-def _check_real_1d(x, length: int, name: str) -> tuple[np.ndarray, float]:
-    """``x`` as a finite float vector of ``length``, with its norm."""
+def _check_real_1d(x, length: int, name: str) -> np.ndarray:
+    """``x`` as a finite float vector of ``length``."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.shape[0] != length:
         raise ValueError(f"{name} must be 1-D of length {length}, got shape {x.shape}")
-    return x, _finite_norm(x, name)
+    _finite_norm(x, name)
+    return x
 
 
-def _record_imag(plans, imag_max: float, scale: float) -> None:
-    """Check the symmetric-band contract on the discarded imaginary magnitude,
-    then record it on every plan; a violation leaves every plan untouched."""
-    if all(p.symmetric_band for p in plans) and imag_max > EXACTNESS_TOL * max(1.0, scale):
+def _record_imag(plans, imag_max: float, violated: bool) -> None:
+    """Record the discarded imaginary magnitude on every plan; if the plans
+    keep a symmetric band, a ``violated`` contract raises instead and leaves
+    every plan untouched."""
+    if violated and all(p.symmetric_band for p in plans):
         raise ContractViolationError(
             f"symmetric-band plan discarded imaginary magnitude {imag_max:.3e}"
         )
@@ -256,60 +258,52 @@ def _record_imag(plans, imag_max: float, scale: float) -> None:
         p.last_imag_max = imag_max
 
 
-def _discard_imag(plan: FPoolPlan, values: np.ndarray, scale: float) -> np.ndarray:
-    _record_imag((plan,), float(np.max(np.abs(values.imag))) if values.size else 0.0, scale)
-    return values.real.copy()
-
-
 def pool1d(plan: FPoolPlan, x) -> np.ndarray:
-    """Pool a real length-``n`` signal to length ``m``.
+    """Pool real signals ``(..., n)`` to ``(..., m)``; leading axes are a batch.
 
     Keeps the signal's mean, keeps every below-band tone exactly on the
     coarse grid, and annihilates every outside-band tone.  For plans with a
     conjugate-symmetric band the result is exactly real; otherwise the edge
-    residue ``u * (v @ x)`` is discarded and its magnitude recorded in
-    ``plan.last_imag_max``.  NaN or infinite entries are a ``ValueError``,
-    as in every pool/unpool call.
+    residue ``u * (v @ x)`` is discarded and its largest magnitude over the
+    batch recorded in ``plan.last_imag_max``.  NaN or infinite entries are
+    a ``ValueError``, as in every pool/unpool call.
     """
-    x, scale = _check_real_1d(x, plan.n, "x")
-    _record_imag((plan,), abs(float(plan.edge_weights @ x)), scale)
-    return plan.real_part @ x
+    return _apply_1d(plan, x, inverse=False)
 
 
 def unpool1d(plan: FPoolPlan, y) -> np.ndarray:
-    """Upsample a pooled signal back to length ``n`` with the coupled inverse.
+    """Upsample pooled signals ``(..., m)`` to ``(..., n)``, batched like :func:`pool1d`.
 
     The output is band-limited: its spectrum is supported only on the
     plan's kept band (plus the conjugate mirror of the edge bin for
     unpadded even ``m``).
     """
-    y, scale = _check_real_1d(y, plan.m, "y")
-    ratio = plan.n / plan.m
-    edge_peak = float(np.max(np.abs(plan.edge_weights)))
-    _record_imag((plan,), ratio * abs(float(plan.edge_signs @ y)) * edge_peak, scale)
-    return plan.real_part.T @ (ratio * y)
+    return _apply_1d(plan, y, inverse=True)
 
 
-def pool1d_fast(plan: FPoolPlan, x) -> np.ndarray:
-    """Same map as :func:`pool1d` through the fast transform.
-
-    The plan's matrix is the authoritative definition; this path exists for
-    large inputs and must agree with it to the exactness tolerance.
-    """
-    x, scale = _check_real_1d(x, plan.n, "x")
-    freqs = _kept_frequencies(plan.n, plan.m, plan.odd_padding)
-    pooled = np.zeros(plan.m, dtype=complex)
-    pooled[freqs % plan.m] = np.fft.fft(x)[freqs % plan.n]
-    return _discard_imag(plan, np.fft.ifft(pooled) * (plan.m / plan.n), scale)
-
-
-def unpool1d_fast(plan: FPoolPlan, y) -> np.ndarray:
-    """Same map as :func:`unpool1d` through the fast transform."""
-    y, scale = _check_real_1d(y, plan.m, "y")
-    freqs = _kept_frequencies(plan.n, plan.m, plan.odd_padding)
-    full = np.zeros(plan.n, dtype=complex)
-    full[freqs % plan.n] = np.fft.fft(y)[freqs % plan.m]
-    return _discard_imag(plan, np.fft.ifft(full) * (plan.n / plan.m), scale)
+def _apply_1d(plan: FPoolPlan, x, inverse: bool) -> np.ndarray:
+    """``x @ P.T`` over the trailing axis (times ``n/m`` when upsampling),
+    ``(P, p, q)`` from :func:`_axis_map`.  A row discards the imaginary part
+    ``(x @ q) * p``, of peak ``|x @ q| * max|p|`` (``max|p| = 1`` when
+    pooling); each row answers to the symmetric-band contract at its own
+    norm, as a call on that row alone would, and ``last_imag_max`` records
+    the batch's largest peak."""
+    mat, p, q = _axis_map(plan, inverse)
+    name = "y" if inverse else "x"
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0 or x.shape[-1] != mat.shape[1]:
+        raise ValueError(f"{name} must be (..., {mat.shape[1]}), got shape {x.shape}")
+    _finite_norm(x, name)
+    gain = plan.n / plan.m if inverse else 1.0
+    peak = gain * float(np.max(np.abs(p))) if inverse else 1.0
+    imag = abs(x @ q) * peak  # one peak per row; a scalar for one signal
+    imag_max = float(imag if x.ndim == 1 else imag.max(initial=0.0))
+    violated = False
+    if imag_max > EXACTNESS_TOL and plan.symmetric_band:  # else no row can violate
+        row_norms = np.sqrt(np.einsum("...i,...i->...", x, x))
+        violated = bool(np.any(imag > EXACTNESS_TOL * np.maximum(1.0, row_norms)))
+    _record_imag((plan,), imag_max, violated)
+    return (gain * x if inverse else x) @ mat.T
 
 
 def pool2d(plan_rows: FPoolPlan, plan_cols: FPoolPlan, image) -> np.ndarray:
@@ -366,7 +360,7 @@ def _apply_2d(plan_rows, plan_cols, image, inverse: bool) -> np.ndarray:
             out -= (qx @ q_c)[:, None, None] * np.outer(p_r, p_c)
         imag = p_r[:, None] * a[:, None, :] + b[:, :, None] * p_c
         imag_max = float(np.max(np.abs(imag), initial=0.0))
-    _record_imag((plan_rows, plan_cols), imag_max, scale)
+    _record_imag((plan_rows, plan_cols), imag_max, imag_max > EXACTNESS_TOL * max(1.0, scale))
     return out[0] if squeeze else out
 
 
@@ -377,7 +371,7 @@ def low_band_component(x, plan: FPoolPlan) -> np.ndarray:
     when both are run in complex arithmetic, for every parity and padding
     choice.
     """
-    x, _ = _check_real_1d(x, plan.n, "x")
+    x = _check_real_1d(x, plan.n, "x")
     return np.fft.ifft(np.fft.fft(x) * kept_bins(plan.n, plan.m, plan.odd_padding))
 
 
@@ -402,12 +396,12 @@ def reconstruction_decomposition(
     downsampling to ``m`` samples reconstructs closer to ``x`` than the
     plan, whatever produced ``downsampled``.
     """
-    x, _ = _check_real_1d(x, plan.n, "x")
+    x = _check_real_1d(x, plan.n, "x")
     a, u, v = plan.real_part, plan.edge_signs, plan.edge_weights
     if downsampled is None:
         y_re, y_im = a @ x, (v @ x) * u  # y = matrix @ x
     else:
-        y_re, _ = _check_real_1d(downsampled, plan.m, "downsampled")
+        y_re = _check_real_1d(downsampled, plan.m, "downsampled")
         y_im = np.zeros(plan.m)
     # r = inverse_matrix @ y = (n/m) * (A.T - 1j * outer(v, u)) @ (y_re + 1j * y_im)
     r = (plan.n / plan.m) * (

@@ -9,12 +9,13 @@ Conventions, fixed once for the whole package:
 * ``circular_shift(x, d)`` places ``x[j]`` at index ``(j + d) % n``.
 
 ``dft`` and ``idft`` are the dense matrix products, the literal definition
-of the convention; ``dft_fast`` and ``idft_fast`` are FFT-backed and must
-agree with them to 1e-9.  ``dft_matrix`` caches every order it is asked for,
-O(n**2) memory each, so no other function of the package calls it: plans are
-built in closed form from one FFT (see :mod:`fpool.pooling`),
-:func:`low_high_split` runs ``np.fft``, and the dense matrices serve the
-tests as the reference both are checked against.
+of the convention; ``np.fft.fft`` and ``n * np.fft.ifft`` follow the same
+convention, which the tests pin to 1e-9.  ``dft_matrix`` caches every order
+it is asked for, O(n**2) memory each, so no other function of the package
+calls it: plans are built in closed form from one FFT and pool in real
+arithmetic (see :mod:`fpool.pooling`), :func:`low_high_split` runs
+``np.fft``, and the dense matrices serve the tests as the reference both
+are checked against.
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ __all__ = [
     "dft_matrix",
     "dft",
     "idft",
-    "dft_fast",
-    "idft_fast",
     "signed_frequency",
     "circular_shift",
     "diagonal_shift",
@@ -78,17 +77,6 @@ def idft(spectrum) -> np.ndarray:
     """Unscaled inverse ``conj(F) @ spectrum``; note ``idft(dft(x)) == n*x``."""
     s = _as_vector(spectrum, "spectrum")
     return np.conj(dft_matrix(s.shape[0])) @ s
-
-
-def dft_fast(x) -> np.ndarray:
-    """FFT-backed forward transform, same convention as :func:`dft`."""
-    return np.fft.fft(_as_vector(x, "x"))
-
-
-def idft_fast(spectrum) -> np.ndarray:
-    """FFT-backed inverse, same (unscaled) convention as :func:`idft`."""
-    s = _as_vector(spectrum, "spectrum")
-    return np.fft.ifft(s) * s.shape[0]
 
 
 def signed_frequency(n: int) -> np.ndarray:

@@ -1,0 +1,38 @@
+"""np.fft reference for the pooling maps, independent of any plan matrix.
+
+Pooling ``n -> m`` keeps the signed frequencies ``-floor(m/2) .. ceil(m/2)-1``,
+without the unmatched edge ``-m/2`` under odd padding (even ``m < n``).
+Frequency ``f`` sits in source bin ``f % n`` and pooled bin ``f % m``.  Both
+maps act on the trailing axis, so any leading axes are a batch, and return
+the complex result: the real-valued API returns its real part and records
+its largest imaginary magnitude.
+"""
+
+import numpy as np
+
+
+def _kept_frequencies(n, m, odd_padding):
+    freqs = np.r_[np.arange((m + 1) // 2), np.arange(-(m // 2), 0)]
+    if odd_padding and m % 2 == 0 and m < n:
+        freqs = freqs[freqs != -(m // 2)]
+    return freqs
+
+
+def fft_pool(x, m, odd_padding=False):
+    """Keep the band's bins of ``fft(x)``, invert at length ``m``, scale ``m/n``."""
+    x = np.asarray(x, dtype=float)
+    n = x.shape[-1]
+    freqs = _kept_frequencies(n, m, odd_padding)
+    pooled = np.zeros(x.shape[:-1] + (m,), dtype=complex)
+    pooled[..., freqs % m] = np.fft.fft(x)[..., freqs % n]
+    return np.fft.ifft(pooled) * (m / n)
+
+
+def fft_unpool(y, n, odd_padding=False):
+    """Zero-pad the band's bins of ``fft(y)`` to ``n`` bins, invert, scale ``n/m``."""
+    y = np.asarray(y, dtype=float)
+    m = y.shape[-1]
+    freqs = _kept_frequencies(n, m, odd_padding)
+    full = np.zeros(y.shape[:-1] + (n,), dtype=complex)
+    full[..., freqs % n] = np.fft.fft(y)[..., freqs % m]
+    return np.fft.ifft(full) * (n / m)

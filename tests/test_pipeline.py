@@ -149,6 +149,22 @@ class TestSimpleLayers:
             Pool1d(PoolingKind("avg", 4)).apply(x), x.reshape(3, 4, 4).mean(axis=2), atol=1e-12
         )
 
+    def test_pool1d_layer_and_its_upsampler_pool_all_channels_in_one_call(self, monkeypatch):
+        calls = []
+        for name in ("pool1d", "unpool1d"):
+            kernel = getattr(pipeline, name)
+
+            def counted(plan, x, kernel=kernel, name=name):
+                calls.append((name, np.shape(x)))
+                return kernel(plan, x)
+
+            monkeypatch.setattr(pipeline, name, counted)
+        plan = make_plan(16, 4)
+        net = Pipeline((Pool1d(PoolingKind("fpool", 4), plan),), (3, 16))
+        pooled = net.forward(np.random.default_rng(5).standard_normal((3, 16)))[-1]
+        pipeline._as_upsampler(plan, net.input_shape, net.output_shape)(pooled)
+        assert calls == [("pool1d", (3, 16)), ("unpool1d", (3, 4))]
+
     def test_fpool_layers_require_plans(self):
         with pytest.raises(ValueError):
             Pool1d(PoolingKind("fpool", 4))

@@ -1,12 +1,14 @@
 """Pooling-plan checks against independent oracles.
 
 The oracles below re-derive every claimed identity with np.fft and literal
-bin bookkeeping, or with the dense transform-matrix products that define a
-plan, independent of the closed-form construction under test.
+bin bookkeeping (see ``fft_oracle``), or with the dense transform-matrix
+products that define a plan, independent of the closed-form construction
+under test.
 """
 
 import numpy as np
 import pytest
+from fft_oracle import fft_pool, fft_unpool
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -19,11 +21,9 @@ from fpool.pooling import (
     low_band_component,
     make_plan,
     pool1d,
-    pool1d_fast,
     pool2d,
     reconstruction_decomposition,
     unpool1d,
-    unpool1d_fast,
     unpool2d,
 )
 from fpool.spectral import circular_shift, dft_matrix, signed_frequency
@@ -42,33 +42,6 @@ def _dense_plan_oracle(n, m, odd_padding=False):
         d[head] = 0.0
     f_n, f_m = dft_matrix(n), dft_matrix(m)
     return np.conj(f_m) @ d @ f_n / n, np.conj(f_n) @ d.T @ f_m / m
-
-
-def _pool_oracle(x, m, odd_padding=False):
-    """Transform, keep first ceil(m/2) and last floor(m/2) bins, invert at m, scale 1/n."""
-    x = np.asarray(x, dtype=float)
-    n = len(x)
-    s = np.fft.fft(x)
-    head, tail = (m + 1) // 2, m - (m + 1) // 2
-    sel = np.concatenate([s[:head], s[n - tail :] if tail else s[:0]])
-    if odd_padding and m % 2 == 0 and m < n:
-        sel[head] = 0.0
-    return np.fft.ifft(sel) * (m / n)
-
-
-def _unpool_oracle(y, n, odd_padding=False):
-    """Zero-pad the pooled spectrum back to n bins and invert, scale 1/m."""
-    y = np.asarray(y, dtype=float)
-    m = len(y)
-    s = np.fft.fft(y)
-    head, tail = (m + 1) // 2, m - (m + 1) // 2
-    full = np.zeros(n, dtype=complex)
-    full[:head] = s[:head]
-    if tail:
-        full[n - tail :] = s[head:]
-    if odd_padding and m % 2 == 0 and m < n:
-        full[n - m // 2] = 0.0
-    return np.fft.ifft(full) * (n / m)
 
 
 def _round_trip_oracle(x, m, odd_padding=False):
@@ -127,15 +100,13 @@ class TestMakePlan:
     def test_matrix_against_oracle_columns(self):
         for n, m, pad in [(12, 6, False), (12, 6, True), (9, 3, False), (10, 5, False)]:
             plan = make_plan(n, m, pad)
-            eye = np.eye(n)
-            cols = np.stack([_pool_oracle(eye[j], m, pad) for j in range(n)], axis=1)
+            cols = fft_pool(np.eye(n), m, pad).T  # row j of the batch is column j
             np.testing.assert_allclose(plan.matrix, cols, atol=1e-12)
 
     def test_inverse_matrix_against_oracle_columns(self):
         for n, m, pad in [(12, 6, False), (12, 6, True), (9, 3, False)]:
             plan = make_plan(n, m, pad)
-            eye = np.eye(m)
-            cols = np.stack([_unpool_oracle(eye[j], n, pad) for j in range(m)], axis=1)
+            cols = fft_unpool(np.eye(m), n, pad).T
             np.testing.assert_allclose(plan.inverse_matrix, cols, atol=1e-12)
 
     def test_round_trip_identity_on_pooled_domain(self):
@@ -301,7 +272,7 @@ class TestPool1d:
         for n, m, pad in [(32, 8, False), (32, 8, True), (21, 7, False), (16, 5, False), (12, 12, False)]:
             x = rng.standard_normal(n)
             got = pool1d(make_plan(n, m, pad), x)
-            np.testing.assert_allclose(got, _pool_oracle(x, m, pad).real, atol=1e-10)
+            np.testing.assert_allclose(got, fft_pool(x, m, pad).real, atol=1e-10)
 
     @settings(max_examples=40)
     @given(_signals())
@@ -335,7 +306,7 @@ class TestUnpool1d:
         for n, m, pad in [(32, 8, False), (32, 8, True), (21, 7, False), (16, 5, False)]:
             y = rng.standard_normal(m)
             got = unpool1d(make_plan(n, m, pad), y)
-            np.testing.assert_allclose(got, _unpool_oracle(y, n, pad).real, atol=1e-10)
+            np.testing.assert_allclose(got, fft_unpool(y, n, pad).real, atol=1e-10)
 
     def test_output_is_band_limited(self):
         rng = np.random.default_rng(10)
@@ -569,8 +540,9 @@ class TestReconstructionDecomposition:
 _NON_FINITE_TARGETS = {
     "pool1d": lambda plan, x, y: pool1d(plan, x),
     "unpool1d": lambda plan, x, y: unpool1d(plan, y),
-    "pool1d_fast": lambda plan, x, y: pool1d_fast(plan, x),
-    "unpool1d_fast": lambda plan, x, y: unpool1d_fast(plan, y),
+    # a bad row under a clean one: the batch is rejected, not just the row
+    "pool1d_batched": lambda plan, x, y: pool1d(plan, np.stack([np.ones(plan.n), x])),
+    "unpool1d_batched": lambda plan, x, y: unpool1d(plan, np.stack([np.ones(plan.m), y])[None]),
     "pool2d": lambda plan, x, y: pool2d(plan, plan, np.outer(x, np.ones(plan.n))),
     "unpool2d": lambda plan, x, y: unpool2d(plan, plan, np.outer(np.ones(plan.m), y)),
     "decomposition_x": lambda plan, x, y: reconstruction_decomposition(x, plan),
@@ -596,7 +568,7 @@ class TestNonFiniteInput:
         plan = make_plan(n, m, pad)
         rng = np.random.default_rng(where)
         x, y = rng.standard_normal(n), rng.standard_normal(m)
-        if target in ("unpool1d", "unpool1d_fast", "unpool2d", "decomposition_downsampled"):
+        if target in ("unpool1d", "unpool1d_batched", "unpool2d", "decomposition_downsampled"):
             y[where % m] = bad
         else:
             x[where % n] = bad
@@ -636,6 +608,26 @@ class TestDiagnostics:
             with pytest.raises(ContractViolationError):
                 call()
             assert rogue.last_imag_max == 0.0  # a violation records nothing
+
+    @pytest.mark.parametrize("kernel", [pool1d, unpool1d])
+    @pytest.mark.parametrize("violating_first", [True, False])
+    def test_batch_holds_each_row_to_its_own_norm(self, kernel, violating_first):
+        # the small row's edge residue breaks the contract at its own norm,
+        # though not at the norm of the batch, which the large row dominates
+        rogue = self._rogue_plan()
+        rogue.last_imag_max = -1.0
+        length = rogue.n if kernel is pool1d else rogue.m
+        edge = rogue.edge_weights if kernel is pool1d else rogue.edge_signs
+        small = 1e-6 * edge / np.linalg.norm(edge)
+        large = np.full(length, 1e9 / np.sqrt(length))  # orthogonal to the edge vector
+        assert abs(edge @ large) <= 1e-6
+        rows = [small, large] if violating_first else [large, small]
+        for batch in (np.stack(rows), np.stack(rows)[None], np.stack(rows * 2).reshape(2, 2, -1)):
+            with pytest.raises(ContractViolationError):
+                kernel(rogue, batch)
+            assert rogue.last_imag_max == -1.0
+        kernel(rogue, large)  # the clean row alone passes
+        assert rogue.last_imag_max <= 1e-9 * np.linalg.norm(large)
 
     @pytest.mark.parametrize("kernel", [pool2d, unpool2d])
     @pytest.mark.parametrize("rogue_first", [True, False])
@@ -685,6 +677,34 @@ class TestRealFormAgainstOracle:
         x, y = rng.standard_normal(n), rng.standard_normal(m)
         _assert_real_part(pool1d(plan, x), matrix @ x, np.linalg.norm(x), [plan])
         _assert_real_part(unpool1d(plan, y), inverse @ y, np.linalg.norm(y), [plan])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        _PLAN_SIZES,
+        st.booleans(),
+        st.lists(st.integers(0, 3), min_size=1, max_size=2),
+        st.integers(0, 2**32 - 1),
+    )
+    @example((16, 8), False, [3], 0)
+    @example((16, 8), True, [2, 3], 0)
+    @example((5, 5), False, [0], 0)
+    def test_1d_kernels_batched_and_reused(self, sizes, pad, batch, seed):
+        # a (c, n) or (b, c, n) batch: every row as a call on that row alone
+        n, m = sizes
+        plan = make_plan(n, m, pad)
+        matrix, inverse = _dense_plan_oracle(n, m, pad)
+        rng = np.random.default_rng(seed)
+        for kernel, data, dense in (
+            (pool1d, rng.standard_normal((*batch, n)), matrix),
+            (unpool1d, rng.standard_normal((*batch, m)), inverse),
+        ):
+            got = kernel(plan, data)
+            scale = np.linalg.norm(data)
+            _assert_real_part(got, data @ dense.T, scale, [plan])
+            tol = 1e-12 * max(1.0, scale)
+            for index in np.ndindex(*batch):
+                np.testing.assert_allclose(got[index], kernel(plan, data[index]), rtol=0, atol=tol)
+            np.testing.assert_array_equal(kernel(plan, data), got)  # reuse changes nothing
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -746,7 +766,8 @@ class TestRealFormAgainstOracle:
 
 
 class TestFastPath:
-    # the dense matrices define the maps; the transform path must agree
+    # np.fft computes the same maps without any plan matrix (see fft_oracle):
+    # pool1d and unpool1d must agree with it to the exactness tolerance
 
     def test_pool_matches_dense(self):
         rng = np.random.default_rng(27)
@@ -754,7 +775,7 @@ class TestFastPath:
             plan = make_plan(n, m, pad)
             x = rng.standard_normal(n)
             np.testing.assert_allclose(
-                pool1d_fast(plan, x), pool1d(plan, x), atol=1e-9 * max(1.0, np.linalg.norm(x))
+                pool1d(plan, x), fft_pool(x, m, pad).real, atol=1e-9 * max(1.0, np.linalg.norm(x))
             )
 
     def test_unpool_matches_dense(self):
@@ -763,7 +784,7 @@ class TestFastPath:
             plan = make_plan(n, m, pad)
             y = rng.standard_normal(m)
             np.testing.assert_allclose(
-                unpool1d_fast(plan, y), unpool1d(plan, y), atol=1e-9 * max(1.0, np.linalg.norm(y))
+                unpool1d(plan, y), fft_unpool(y, n, pad).real, atol=1e-9 * max(1.0, np.linalg.norm(y))
             )
 
     @given(_signals())
@@ -771,10 +792,13 @@ class TestFastPath:
         x, m = case
         plan = make_plan(len(x), m)
         scale = max(1.0, np.linalg.norm(x))
-        np.testing.assert_allclose(pool1d_fast(plan, x), pool1d(plan, x), atol=1e-9 * scale)
+        np.testing.assert_allclose(pool1d(plan, x), fft_pool(x, m).real, atol=1e-9 * scale)
 
     def test_fast_path_keeps_the_diagnostics(self):
         plan = make_plan(16, 8)  # asymmetric band, edge residue recorded
         t = np.arange(16)
-        pool1d_fast(plan, np.cos(2 * np.pi * 4 * t / 16 + 0.7))
-        assert plan.last_imag_max > 1e-3
+        x = np.cos(2 * np.pi * 4 * t / 16 + 0.7)
+        pool1d(plan, x)
+        imag_max = float(np.max(np.abs(fft_pool(x, 8).imag)))
+        assert imag_max > 1e-3
+        assert plan.last_imag_max == pytest.approx(imag_max, rel=0, abs=1e-9)
