@@ -14,13 +14,9 @@ from .metrics import (
     consistency_from_predictions,
     retention_ablation,
     shift_sweep,
-)
-from .pipeline import (
-    Pipeline,
-    equivalence_error,
-    toy_classifier_consistency,
     transitivity_report,
 )
+from .pipeline import Pipeline, equivalence_error, toy_classifier_consistency
 from .pooling import (
     ContractViolationError,
     FPoolPlan,

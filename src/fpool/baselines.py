@@ -120,10 +120,11 @@ def pool_baseline(kind: PoolingKind, x) -> np.ndarray:
 
 
 def pool_baseline_2d(kind: PoolingKind, image) -> np.ndarray:
-    """Separable 2-D baseline: pool the width axis, then the height axis."""
+    """Separable 2-D baseline over images ``(..., h, w)``: pool the width
+    axis, then the height axis; leading axes are a batch."""
     img = np.asarray(image, dtype=float)
-    if img.ndim not in (2, 3):
-        raise ValueError(f"image must be (h, w) or (channels, h, w), got shape {img.shape}")
+    if img.ndim < 2:
+        raise ValueError(f"image must be (..., h, w), got shape {img.shape}")
     out = pool_baseline(kind, img)
     out = np.swapaxes(pool_baseline(kind, np.swapaxes(out, -1, -2)), -1, -2)
     return out

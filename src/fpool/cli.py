@@ -23,9 +23,9 @@ import numpy as np
 
 from .baselines import BASELINE_KINDS, PoolingKind, pool_baseline, pool_baseline_2d
 from .netpbm import read_netpbm, write_netpbm
-from .pipeline import Pipeline, Pool1d, toy_classifier_predictions, transitivity_report
+from .pipeline import Pipeline, Pool1d, toy_classifier_predictions
 from .pooling import EXACTNESS_TOL, ContractViolationError, make_plan, pool1d, pool2d, unpool1d
-from .metrics import consistency_from_predictions, shift_sweep
+from .metrics import consistency_from_predictions, shift_sweep, transitivity_report
 from .signals import is_signal_spec, load_signal_column, make_signal
 from .spectral import circular_shift
 
@@ -175,6 +175,8 @@ def cmd_oddpad(config: ExperimentConfig) -> int:
     config.n = n
     m = config.m if config.m is not None else n // config.stride
     config.m = m
+    if not 1 <= m <= n:
+        raise ValueError(f"pooled length m={m} must lie in [1, {n}]")
     if m % 2:
         raise ValueError(f"the padding study needs even m, got {m}")
     shifts = _shift_range(config, n)
@@ -204,12 +206,10 @@ def cmd_transitivity(config: ExperimentConfig) -> int:
     m2 = config.m2 if config.m2 is not None else m // 2
     config.m, config.m2 = m, m2
     rows = []
-    for row in transitivity_report(config.seed, (n, m, m2), config.odd_padding):
-        rows.extend(
-            (shift, row.segment, float(err)) for shift, err in zip(row.shifts, row.errors)
-        )
-        rows.append((0, f"{row.segment}/max_error", row.max_error))
-        rows.append((0, f"{row.segment}/equivalent", 1.0 if row.equivalent else 0.0))
+    for segment, sweep in transitivity_report(config.seed, (n, m, m2), config.odd_padding):
+        rows.extend((shift, segment, float(err)) for shift, err in zip(sweep.shifts, sweep.errors))
+        rows.append((0, f"{segment}/max_error", sweep.max_error))
+        rows.append((0, f"{segment}/equivalent", 1.0 if sweep.all_exact else 0.0))
     _write_rows(config, rows)
     return 0
 
@@ -362,6 +362,8 @@ def main(argv=None) -> int:
     fields = set(ExperimentConfig.__dataclass_fields__)
     config = ExperimentConfig(**{k: v for k, v in vars(args).items() if k in fields})
     try:
+        if config.stride < 1:
+            raise ValueError(f"--stride must be >= 1, got {config.stride}")
         return _COMMANDS[config.command](config)
     except ContractViolationError as e:
         sys.stderr.write(f"contract violation: {e}\n")

@@ -1,4 +1,5 @@
-"""Sweep summaries, retention ablation, and prediction consistency."""
+"""Shift sweeps and the transitivity study, retention ablation, and
+prediction consistency."""
 
 from __future__ import annotations
 
@@ -7,8 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .baselines import PoolingKind
 from .pooling import EXACTNESS_TOL, make_plan, reconstruction_decomposition
-from .pipeline import Pipeline, _as_upsampler, equivalence_error
+from .pipeline import Pipeline, Pool1d, ReLU, _shift_vector, _spatial_ndim, _sweep_errors
 
 __all__ = [
     "RetentionRow",
@@ -16,6 +18,7 @@ __all__ = [
     "consistency_from_predictions",
     "retention_ablation",
     "shift_sweep",
+    "transitivity_report",
 ]
 
 
@@ -53,7 +56,14 @@ class SweepResult:
 
 
 def shift_sweep(pipeline: Pipeline, upsampler, shifts, x) -> SweepResult:
-    """Measure equivalence_error at every shift in the sweep.
+    """Measure :func:`fpool.pipeline.equivalence_error` at every shift in the
+    sweep (a diagonal shift for images), with the errors of one call each.
+
+    The sweep runs as one batch: the reference is processed and upsampled
+    once, the shifted inputs are built by one index gather, and the
+    pipeline and the upsampler each run once per chunk of shifts.  So a
+    callable upsampler receives pipeline outputs with a leading sample axis,
+    ``(S, c) + spatial``, and must return ``(S, c') + input spatial``.
 
     Shifts must stay within one full period of the input's trailing axis;
     anything larger only repeats an earlier column and usually signals a
@@ -67,9 +77,48 @@ def shift_sweep(pipeline: Pipeline, upsampler, shifts, x) -> SweepResult:
     out_of_range = [d for d in shifts if not -n <= d <= n]
     if out_of_range:
         raise ValueError(f"shifts {out_of_range} fall outside [-{n}, {n}]")
-    up = _as_upsampler(upsampler, pipeline.input_shape, pipeline.output_shape)
-    errors = tuple(equivalence_error(pipeline, up, d, x) for d in shifts)
-    return SweepResult(tuple(shifts), errors, float(np.linalg.norm(x)))
+    # an image's scalar shift is diagonal: d * (1, 1)
+    deltas = np.outer(shifts, _shift_vector(1, _spatial_ndim(pipeline.input_shape)))
+    errors = _sweep_errors(pipeline, upsampler, deltas, x)
+    return SweepResult(tuple(shifts), tuple(errors.tolist()), float(np.linalg.norm(x)))
+
+
+def transitivity_report(
+    seed: int, sizes: tuple[int, int, int] = (32, 16, 8), odd_padding: bool = True
+) -> list[tuple[str, SweepResult]]:
+    """Measure shift equivalence across a two-stage pooling cascade.
+
+    Returns one ``(segment, sweep)`` pair per measured segment; a segment
+    is equivalent when ``sweep.all_exact``.  Each single-pooling segment,
+    judged with its own coupled inverse, is exactly equivalent.  The full
+    cascade with a nonlinearity between the two poolings, judged with the
+    direct input-to-final inverse, is not: the first pooling turns integer
+    shifts into fractional ones, which the pointwise nonlinearity does not
+    commute with.  The purely linear cascade is equivalent under the direct
+    inverse (the two bin selections compose into one); the report measures
+    it rather than assuming it.
+    """
+    n, m1, m2 = sizes
+    if not n >= m1 >= m2 >= 1:
+        raise ValueError(f"sizes must satisfy n >= m1 >= m2 >= 1, got {sizes}")
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((1, n))
+    plan1 = make_plan(n, m1, odd_padding)
+    plan2 = make_plan(m1, m2, odd_padding)
+    direct = make_plan(n, m2, odd_padding)
+    fp = PoolingKind("fpool", max(1, n // m1))
+    stage1 = Pipeline((Pool1d(fp, plan1),), (1, n))
+    z = stage1.forward(x)[-1]
+    stage2 = Pipeline((ReLU(), Pool1d(fp, plan2)), (1, m1))
+    nonlinear = Pipeline((Pool1d(fp, plan1), ReLU(), Pool1d(fp, plan2)), (1, n))
+    linear = Pipeline((Pool1d(fp, plan1), Pool1d(fp, plan2)), (1, n))
+    full = range(-n, n + 1)
+    return [
+        ("stage1_pool/coupled_inverse", shift_sweep(stage1, plan1, full, x)),
+        ("stage2_relu_pool/coupled_inverse", shift_sweep(stage2, plan2, range(-m1, m1 + 1), z)),
+        ("cascade_pool_relu_pool/direct_inverse", shift_sweep(nonlinear, direct, full, x)),
+        ("cascade_pool_pool/direct_inverse", shift_sweep(linear, direct, full, x)),
+    ]
 
 
 @dataclass(frozen=True)

@@ -1,21 +1,28 @@
 """Small composable pipelines and the shift-equivalence harness.
 
 Feature layout is channel-first: 1-D features are ``(channels, n)``, images
-are ``(channels, h, w)``.  Convolutions always have stride 1 (a strided
-convolution is represented as conv followed by a pooling layer, which is
-the whole point of the replacement rules).  The harness measures how far a
-pipeline is from commuting with cyclic shifts once its output is carried
-back to input resolution by an upsampler.
+are ``(channels, h, w)``.  The convolution, ReLU and pooling layers also take
+a leading sample axis, ``(S, channels, ...)``, and act on every sample in one
+call.  Convolutions always have stride 1 (a strided convolution is
+represented as conv followed by a pooling layer, which is the whole point of
+the replacement rules).  The harness measures how far a pipeline is from
+commuting with cyclic shifts once its output is carried back to input
+resolution by an upsampler.  It evaluates a set of shifts as one batch:
+the unshifted reference is processed once, one index gather builds the
+shifted inputs, and one forward and one upsampling run per chunk of shifts,
+with at most 4,096 doubles in any stage array of a chunk.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .baselines import PoolingKind, pool_baseline, pool_baseline_2d
-from .pooling import EXACTNESS_TOL, FPoolPlan, make_plan, pool1d, pool2d, unpool1d, unpool2d
+from .pooling import FPoolPlan, make_plan, pool1d, pool2d, unpool1d, unpool2d
 
 __all__ = [
     "Conv1d",
@@ -27,18 +34,21 @@ __all__ = [
     "Pool2d",
     "ReLU",
     "Softmax",
-    "TransitivityRow",
     "equivalence_error",
     "random_conv1d",
     "random_conv2d",
     "random_linear",
     "toy_classifier_consistency",
     "toy_classifier_predictions",
-    "transitivity_report",
 ]
 
 # np.pad mode of each convolution padding: taps read slices of the padded input
 _PAD_MODES = {"circular": "wrap", "zero": "constant"}
+
+# Each stage array of one chunk of a batched sweep, gather indices included,
+# holds at most this many doubles (32 KB), so a sweep's memory peak does not
+# grow with its number of shifts.
+_SWEEP_CHUNK_DOUBLES = 4096
 
 
 def _check_padding(padding: str) -> None:
@@ -48,7 +58,8 @@ def _check_padding(padding: str) -> None:
 
 @dataclass(eq=False)
 class Conv1d:
-    """Stride-1 convolution over ``(c_in, n)`` features, centered taps."""
+    """Stride-1 convolution over ``(..., c_in, n)`` features, centered taps;
+    only the trailing axis is padded, so leading axes are a batch."""
 
     weights: np.ndarray  # (c_out, c_in, k)
     padding: str = "circular"
@@ -71,16 +82,18 @@ class Conv1d:
         c_out, _, k = self.weights.shape
         off = k // 2
         n = x.shape[-1]
-        xp = np.pad(x, ((0, 0), (off, k - 1 - off)), mode=_PAD_MODES[self.padding])
-        out = np.zeros((c_out, n))
+        widths = ((0, 0),) * (x.ndim - 1) + ((off, k - 1 - off),)
+        xp = np.pad(x, widths, mode=_PAD_MODES[self.padding])
+        out = np.zeros(x.shape[:-2] + (c_out, n))
         for j in range(k):
-            out += np.einsum("oi,in->on", self.weights[:, :, j], xp[:, j : j + n])
+            out += np.einsum("oi,...in->...on", self.weights[:, :, j], xp[..., j : j + n])
         return out
 
 
 @dataclass(eq=False)
 class Conv2d:
-    """Stride-1 convolution over ``(c_in, h, w)`` features, centered taps."""
+    """Stride-1 convolution over ``(..., c_in, h, w)`` features, centered
+    taps; only the two trailing axes are padded, so leading axes are a batch."""
 
     weights: np.ndarray  # (c_out, c_in, kh, kw)
     padding: str = "circular"
@@ -105,12 +118,13 @@ class Conv2d:
         c_out, _, kh, kw = self.weights.shape
         oh, ow = kh // 2, kw // 2
         h, w = x.shape[-2:]
-        widths = ((0, 0), (oh, kh - 1 - oh), (ow, kw - 1 - ow))
+        widths = ((0, 0),) * (x.ndim - 2) + ((oh, kh - 1 - oh), (ow, kw - 1 - ow))
         xp = np.pad(x, widths, mode=_PAD_MODES[self.padding])
-        out = np.zeros((c_out, h, w))
+        out = np.zeros(x.shape[:-3] + (c_out, h, w))
         for a in range(kh):
             for b in range(kw):
-                out += np.einsum("oi,ihw->ohw", self.weights[:, :, a, b], xp[:, a : a + h, b : b + w])
+                tap = xp[..., a : a + h, b : b + w]
+                out += np.einsum("oi,...ihw->...ohw", self.weights[:, :, a, b], tap)
         return out
 
 
@@ -156,7 +170,8 @@ class Pool1d:
 
 @dataclass(eq=False)
 class Pool2d:
-    """Separable pooling of ``(c, h, w)`` features."""
+    """Separable pooling of ``(c, h, w)`` features over the two trailing
+    axes, so leading axes (channels, samples) are one batch."""
 
     kind: PoolingKind
     plan_rows: FPoolPlan | None = None
@@ -257,10 +272,19 @@ class Pipeline:
         return self.stage_shapes[-1]
 
     def forward(self, x) -> list[np.ndarray]:
-        """Run the pipeline, returning the input and every stage output."""
+        """Run the pipeline, returning the input and every stage output.
+
+        ``x`` is one input of ``input_shape`` or a batch ``(S,) +
+        input_shape`` of samples, which every layer takes in one call.  A
+        batch needs spatial features at every stage: the head layers
+        (GlobalAvg, Linear, Softmax) take one sample.
+        """
         x = np.asarray(x, dtype=float)
-        if x.shape != self.input_shape:
+        batched = x.shape[1:] == self.input_shape
+        if x.shape != self.input_shape and not batched:
             raise ValueError(f"input shape {x.shape} does not match {self.input_shape}")
+        if batched and any(len(s) < 2 for s in self.stage_shapes):
+            raise ValueError("a batch of samples needs spatial features at every stage")
         outs = [x]
         for layer in self.layers:
             outs.append(layer.apply(outs[-1]))
@@ -289,25 +313,38 @@ def _spatial_ndim(shape) -> int:
     return len(shape) - 1
 
 
-def _shift_features(x, delta) -> np.ndarray:
-    spatial = _spatial_ndim(x.shape)
+def _shift_vector(delta, spatial: int) -> tuple[int, ...]:
+    """Per-axis shift: a scalar for 1-D features; for images a scalar (the
+    diagonal shift, the default sweep) or ``(dy, dx)``."""
     if spatial == 1:
         if np.ndim(delta) != 0:
             raise ValueError("1-D features take a scalar shift")
-        return np.roll(x, int(delta), axis=-1)
+        return (int(delta),)
     if spatial == 2:
         if np.ndim(delta) == 0:
-            delta = (int(delta), int(delta))  # diagonal shift, the default sweep
+            return (int(delta), int(delta))
         dy, dx = (int(d) for d in delta)
-        return np.roll(x, (dy, dx), axis=(-2, -1))
-    raise ValueError(f"features must have 1 or 2 spatial axes, got shape {x.shape}")
+        return (dy, dx)
+    raise ValueError(f"features must have 1 or 2 spatial axes, got {spatial}")
+
+
+def _shift_windows(features) -> np.ndarray:
+    """A view ``w`` of ``features`` tiled twice along each spatial axis, in
+    which ``w[i]`` (``w[i, j]`` for images) is ``features`` rolled by ``-i``
+    (by ``(-i, -j)``): indexing it with per-axis start arrays gathers a
+    batch of shifted copies, with ``np.roll``'s values, in one copy."""
+    axes = tuple(range(1, features.ndim))
+    tiled = np.tile(features, (1,) + (2,) * len(axes))
+    windows = sliding_window_view(tiled, features.shape[1:], axis=axes)
+    return np.moveaxis(windows, 0, len(axes))
 
 
 def _as_upsampler(upsampler, in_shape, out_shape):
-    """Normalize the upsampler argument to a per-feature callable.
+    """Normalize the upsampler argument to a callable over ``(S, c) + spatial``
+    batches of pipeline outputs.
 
-    ``None`` builds the direct plan (pair) of the composite factor; sweeps
-    call this once and hand the callable to every shift.
+    ``None`` builds the direct plan (pair) of the composite factor, once per
+    sweep.
     """
     if _spatial_ndim(out_shape) != _spatial_ndim(in_shape):
         raise ValueError(
@@ -334,89 +371,55 @@ def _as_upsampler(upsampler, in_shape, out_shape):
     raise ValueError(f"cannot interpret upsampler {upsampler!r}")
 
 
-def equivalence_error(pipeline: Pipeline, upsampler, delta_t, x) -> float:
-    """Worst-case mismatch between shift-then-process and process-then-shift.
+def _sweep_errors(pipeline: Pipeline, upsampler, deltas, x) -> np.ndarray:
+    """Equivalence error of ``x`` at each row of the ``(S, spatial)`` integer
+    shifts ``deltas``.
 
-    The pipeline output is carried back to input resolution by ``upsampler``
-    (a plan, a plan pair, a callable, or None for the direct plan of the
-    composite factor), then the two evaluation orders are compared at the
-    given shift.  Zero means the pipeline, seen through that upsampler, is
-    exactly shift-equivalent at this shift.
+    The reference, process-then-upsample of ``x``, is computed once and
+    shifted by gathering; the shifted inputs run through the pipeline and the
+    upsampler as batches of samples, a chunk at a time, so that no stage
+    array of a chunk holds more than ``_SWEEP_CHUNK_DOUBLES`` doubles (a
+    chunk is one sample when a sample alone holds more).
     """
     x = np.asarray(x, dtype=float)
     if x.shape != pipeline.input_shape:
         raise ValueError(f"input shape {x.shape} does not match {pipeline.input_shape}")
     up = _as_upsampler(upsampler, pipeline.input_shape, pipeline.output_shape)
-    reference = up(pipeline.forward(x)[-1])
-    if np.asarray(reference).shape[1:] != x.shape[1:]:
+    reference = np.asarray(up(pipeline.forward(x[np.newaxis])[-1]))
+    if reference.shape[:1] + reference.shape[2:] != (1,) + x.shape[1:]:
         raise ValueError("upsampler does not restore input resolution")
-    shifted_out = up(pipeline.forward(_shift_features(x, delta_t))[-1])
-    return float(np.max(np.abs(_shift_features(reference, delta_t) - shifted_out)))
+    reference = reference[0]
+    largest = max(math.prod(shape) for shape in pipeline.stage_shapes + (reference.shape,))
+    chunk = max(1, _SWEEP_CHUNK_DOUBLES // largest)
+    starts = (-deltas % np.array(x.shape[1:])).T  # rolling by d starts a window at -d
+    inputs, references = _shift_windows(x), _shift_windows(reference)
+    errors = np.empty(len(deltas))
+    for start in range(0, len(deltas), chunk):
+        index = tuple(starts[:, start : start + chunk])
+        size = len(index[0])
+        out = up(pipeline.forward(inputs[index])[-1])
+        if np.shape(out) != (size,) + reference.shape:
+            raise ValueError(f"upsampler returned {np.shape(out)} for {size} samples")
+        gap = np.abs(references[index] - out)
+        errors[start : start + size] = gap.reshape(size, -1).max(axis=1)
+    return errors
 
 
-@dataclass(frozen=True)
-class TransitivityRow:
-    """One measured segment of the stacked-pooling study."""
+def equivalence_error(pipeline: Pipeline, upsampler, delta_t, x) -> float:
+    """Worst-case mismatch between shift-then-process and process-then-shift.
 
-    segment: str
-    shifts: tuple[int, ...]
-    errors: tuple[float, ...]
-    input_norm: float
-
-    @property
-    def max_error(self) -> float:
-        return max(self.errors)
-
-    @property
-    def equivalent(self) -> bool:
-        return self.max_error <= EXACTNESS_TOL * max(1.0, self.input_norm)
-
-
-def _sweep_row(segment, pipeline, upsampler, x, shifts) -> TransitivityRow:
-    up = _as_upsampler(upsampler, pipeline.input_shape, pipeline.output_shape)
-    errors = tuple(equivalence_error(pipeline, up, d, x) for d in shifts)
-    return TransitivityRow(
-        segment=segment,
-        shifts=tuple(int(d) for d in shifts),
-        errors=errors,
-        input_norm=float(np.linalg.norm(x)),
-    )
-
-
-def transitivity_report(
-    seed: int, sizes: tuple[int, int, int] = (32, 16, 8), odd_padding: bool = True
-) -> list[TransitivityRow]:
-    """Measure shift equivalence across a two-stage pooling cascade.
-
-    Each single-pooling segment, judged with its own coupled inverse, is
-    exactly equivalent.  The full cascade with a nonlinearity between the
-    two poolings, judged with the direct input-to-final inverse, is not:
-    the first pooling turns integer shifts into fractional ones, which the
-    pointwise nonlinearity does not commute with.  The purely linear
-    cascade is equivalent under the direct inverse (the two bin selections
-    compose into one); the report measures it rather than assuming it.
+    The pipeline output is carried back to input resolution by ``upsampler``
+    (a plan, a plan pair, None for the direct plan of the composite factor,
+    or a callable), then the two evaluation orders are compared at the
+    given shift: a scalar for 1-D features, a scalar (diagonal) or
+    ``(dy, dx)`` for images.  Zero means the pipeline, seen through that
+    upsampler, is exactly shift-equivalent at this shift.  This is the
+    one-shift case of :func:`fpool.metrics.shift_sweep`, so a callable
+    upsampler receives pipeline outputs with a leading sample axis,
+    ``(S, c) + spatial``, and must return ``(S, c') + input spatial``.
     """
-    n, m1, m2 = sizes
-    if not n >= m1 >= m2 >= 1:
-        raise ValueError(f"sizes must satisfy n >= m1 >= m2 >= 1, got {sizes}")
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((1, n))
-    plan1 = make_plan(n, m1, odd_padding)
-    plan2 = make_plan(m1, m2, odd_padding)
-    direct = make_plan(n, m2, odd_padding)
-    fp = PoolingKind("fpool", max(1, n // m1))
-    stage1 = Pipeline((Pool1d(fp, plan1),), (1, n))
-    z = stage1.forward(x)[-1]
-    stage2 = Pipeline((ReLU(), Pool1d(fp, plan2)), (1, m1))
-    nonlinear = Pipeline((Pool1d(fp, plan1), ReLU(), Pool1d(fp, plan2)), (1, n))
-    linear = Pipeline((Pool1d(fp, plan1), Pool1d(fp, plan2)), (1, n))
-    full = range(-n, n + 1)
-    return [
-        _sweep_row("stage1_pool/coupled_inverse", stage1, plan1, x, full),
-        _sweep_row("stage2_relu_pool/coupled_inverse", stage2, plan2, z, range(-m1, m1 + 1)),
-        _sweep_row("cascade_pool_relu_pool/direct_inverse", nonlinear, direct, x, full),
-        _sweep_row("cascade_pool_pool/direct_inverse", linear, direct, x, full),
-    ]
+    deltas = np.array([_shift_vector(delta_t, _spatial_ndim(pipeline.input_shape))])
+    return float(_sweep_errors(pipeline, upsampler, deltas, x)[0])
 
 
 def _toy_pipeline(seed, size, channels, classes, kernel, stride, pooling, conv_padding, odd_padding, window):
@@ -458,7 +461,7 @@ def toy_classifier_predictions(
     )
     rng = np.random.default_rng(seed + 2)
     x = rng.standard_normal((1, size, size))
-    probs = np.stack([net.forward(_shift_features(x, d))[-1] for d in shifts])
+    probs = np.stack([net.forward(np.roll(x, (d, d), axis=(1, 2)))[-1] for d in shifts])
     labels = [int(np.argmax(p)) for p in probs]
     designated = labels[shifts.index(0)] if 0 in shifts else labels[0]
     return labels, probs, designated

@@ -246,14 +246,21 @@ def _check_real_1d(x, length: int, name: str) -> np.ndarray:
     return x
 
 
-def _record_imag(plans, imag_max: float, violated: bool) -> None:
-    """Record the discarded imaginary magnitude on every plan; if the plans
-    keep a symmetric band, a ``violated`` contract raises instead and leaves
-    every plan untouched."""
-    if violated and all(p.symmetric_band for p in plans):
-        raise ContractViolationError(
-            f"symmetric-band plan discarded imaginary magnitude {imag_max:.3e}"
-        )
+def _record_imag(plans, peaks, x: np.ndarray, sample_ndim: int) -> None:
+    """Hold each sample of ``x``, its trailing ``sample_ndim`` axes, to the
+    symmetric-band contract at its own norm, as a call on that sample alone
+    would: if the plans keep a symmetric band and a sample's discarded
+    imaginary peak (``peaks``, one per sample) exceeds ``EXACTNESS_TOL``
+    times its norm, raise and leave every plan untouched.  Otherwise record
+    the largest peak on every plan.  Norms are computed only when a peak
+    exceeds the bare tolerance, so clean calls pay nothing."""
+    imag_max = float(np.max(peaks, initial=0.0))
+    if imag_max > EXACTNESS_TOL and all(p.symmetric_band for p in plans):
+        norms = np.sqrt(np.sum(x * x, axis=tuple(range(-sample_ndim, 0))))
+        if np.any(peaks > EXACTNESS_TOL * np.maximum(1.0, norms)):
+            raise ContractViolationError(
+                f"symmetric-band plan discarded imaginary magnitude {imag_max:.3e}"
+            )
     for p in plans:
         p.last_imag_max = imag_max
 
@@ -285,36 +292,32 @@ def _apply_1d(plan: FPoolPlan, x, inverse: bool) -> np.ndarray:
     """``x @ P.T`` over the trailing axis (times ``n/m`` when upsampling),
     ``(P, p, q)`` from :func:`_axis_map`.  A row discards the imaginary part
     ``(x @ q) * p``, of peak ``|x @ q| * max|p|`` (``max|p| = 1`` when
-    pooling); each row answers to the symmetric-band contract at its own
-    norm, as a call on that row alone would, and ``last_imag_max`` records
-    the batch's largest peak."""
+    pooling); :func:`_record_imag` holds each row to the contract."""
     mat, p, q = _axis_map(plan, inverse)
     name = "y" if inverse else "x"
-    x = np.asarray(x, dtype=float)
+    # numpy rounds a product with a one-row matrix by memory layout (BLAS
+    # for contiguous rows, a strided loop otherwise): on a C-contiguous
+    # copy, a row rounds alike alone and inside a batch
+    x = np.ascontiguousarray(x, dtype=float)
     if x.ndim == 0 or x.shape[-1] != mat.shape[1]:
         raise ValueError(f"{name} must be (..., {mat.shape[1]}), got shape {x.shape}")
     _finite_norm(x, name)
     gain = plan.n / plan.m if inverse else 1.0
     peak = gain * float(np.max(np.abs(p))) if inverse else 1.0
-    imag = abs(x @ q) * peak  # one peak per row; a scalar for one signal
-    imag_max = float(imag if x.ndim == 1 else imag.max(initial=0.0))
-    violated = False
-    if imag_max > EXACTNESS_TOL and plan.symmetric_band:  # else no row can violate
-        row_norms = np.sqrt(np.einsum("...i,...i->...", x, x))
-        violated = bool(np.any(imag > EXACTNESS_TOL * np.maximum(1.0, row_norms)))
-    _record_imag((plan,), imag_max, violated)
+    # one peak per row; a scalar for one signal
+    _record_imag((plan,), abs(x @ q) * peak, x, sample_ndim=1)
     return (gain * x if inverse else x) @ mat.T
 
 
 def pool2d(plan_rows: FPoolPlan, plan_cols: FPoolPlan, image) -> np.ndarray:
-    """Separable pooling of an image, rows through ``plan_rows`` and columns
-    through ``plan_cols``.
+    """Separable pooling of images ``(..., h, w)``, rows through ``plan_rows``
+    and columns through ``plan_cols``; leading axes are a batch.
 
     The result is the real part of the complex chain
     ``matrix_rows @ image @ matrix_cols.T``, evaluated in real arithmetic:
     ``A_r @ image @ A_c.T`` minus the rank-1 product of the two edge terms.
-    Accepts ``(h, w)`` or ``(channels, h, w)``; NaN or infinite entries are
-    a ``ValueError``.
+    Each image of a batch answers to the symmetric-band contract at its own
+    norm, as in :func:`pool1d`.  NaN or infinite entries are a ``ValueError``.
     """
     return _apply_2d(plan_rows, plan_cols, image, inverse=False)
 
@@ -337,31 +340,31 @@ def _apply_2d(plan_rows, plan_cols, image, inverse: bool) -> np.ndarray:
     left, p_r, q_r = _axis_map(plan_rows, inverse)
     right, p_c, q_c = _axis_map(plan_cols, inverse)
     img = np.asarray(image, dtype=float)
-    squeeze = img.ndim == 2
-    if squeeze:
-        img = img[np.newaxis]
-    if img.ndim != 3 or img.shape[1] != left.shape[1] or img.shape[2] != right.shape[1]:
+    if img.ndim < 2 or img.shape[-2:] != (left.shape[1], right.shape[1]):
         raise ValueError(
-            f"image must be (channels, {left.shape[1]}, {right.shape[1]}), got {np.shape(image)}"
+            f"image must be (..., {left.shape[1]}, {right.shape[1]}), got {np.shape(image)}"
         )
-    scale = _finite_norm(img, "image")
-    if inverse:
-        img = img * (plan_rows.n / plan_rows.m * plan_cols.n / plan_cols.m)
-    out = left @ img @ right.T
+    _finite_norm(img, "image")
+    scaled = img * (plan_rows.n / plan_rows.m * plan_cols.n / plan_cols.m) if inverse else img
+    out = left @ scaled @ right.T
     # (P_r + i p_r q_r^T) X (P_c + i p_c q_c^T)^T: the product of the two
     # edge terms is real, and the imaginary part is p_r a^T + b p_c^T with
     # a = P_c X^T q_r and b = P_r X q_c; all vanish with the edge weights.
-    imag_max = 0.0
+    peaks = 0.0
     edge_r, edge_c = plan_rows.edge_weights.any(), plan_cols.edge_weights.any()
     if edge_r or edge_c:
-        qx = q_r @ img
-        a, b = qx @ right.T, img @ q_c @ left.T
+        # numpy rounds a matrix-vector product by memory layout (BLAS for
+        # contiguous rows, a strided loop otherwise), so the edge terms use a
+        # C-contiguous copy: an image rounds alike alone and inside a batch
+        flat = np.ascontiguousarray(scaled)
+        qx = q_r @ flat
+        a, b = qx @ right.T, flat @ q_c @ left.T
         if edge_r and edge_c:
-            out -= (qx @ q_c)[:, None, None] * np.outer(p_r, p_c)
-        imag = p_r[:, None] * a[:, None, :] + b[:, :, None] * p_c
-        imag_max = float(np.max(np.abs(imag), initial=0.0))
-    _record_imag((plan_rows, plan_cols), imag_max, imag_max > EXACTNESS_TOL * max(1.0, scale))
-    return out[0] if squeeze else out
+            out -= (qx @ q_c)[..., None, None] * np.outer(p_r, p_c)
+        imag = p_r[:, None] * a[..., None, :] + b[..., :, None] * p_c
+        peaks = np.abs(imag).reshape(imag.shape[:-2] + (-1,)).max(axis=-1, initial=0.0)
+    _record_imag((plan_rows, plan_cols), peaks, img, sample_ndim=2)
+    return out
 
 
 def low_band_component(x, plan: FPoolPlan) -> np.ndarray:

@@ -18,6 +18,7 @@ import pytest
 from fft_oracle import fft_pool, fft_unpool
 
 from fpool.baselines import BASELINE_KINDS, PoolingKind, pool_baseline
+from fpool.metrics import transitivity_report
 from fpool.netpbm import write_netpbm
 from fpool.pipeline import (
     Conv1d,
@@ -30,7 +31,6 @@ from fpool.pipeline import (
     random_conv1d,
     random_conv2d,
     toy_classifier_consistency,
-    transitivity_report,
 )
 from fpool.pooling import (
     make_plan,
@@ -219,10 +219,10 @@ def test_criterion_5_pipelines_and_the_cascade_counterexample():
         worst_2d = max(
             worst_2d, equivalence_error(net2, (p2, p2), (3, -7), x2) / scale2
         )  # independent axis shifts too
-        rows = transitivity_report(seed)
-        verdicts = [row.equivalent for row in rows]
+        report = transitivity_report(seed)
+        verdicts = [sweep.all_exact for _, sweep in report]
         verdicts_ok &= verdicts == [True, True, False, True]
-        bad = rows[2]
+        _, bad = report[2]
         counterexample_ok &= bad.max_error > 1e-6 * bad.input_norm
     ok = worst_1d <= 1e-9 and worst_2d <= 1e-9 and counterexample_ok and verdicts_ok
     _report(

@@ -1,5 +1,8 @@
 """End-to-end command behavior: schema, determinism, exit codes."""
 
+import contextlib
+import hashlib
+import io
 import subprocess
 import sys
 
@@ -174,6 +177,34 @@ class TestDeterminism:
         second = run_cli(*args).stdout
         assert first == second
 
+    # sha256 of stdout, recorded before sweeps were batched (numpy 2.4 on
+    # OpenBLAS, x86-64).  Two runs of one commit agreeing says nothing about
+    # a rounding change between commits; these digests do.  A digest that
+    # changes means a change altered an output byte: fix the code, never
+    # re-record the digest.
+    DIGESTS = {
+        "demo1d --n 64": "81f7c8a29e55ae7c2039f1d830d897c4fc9dde4aeb825177cfd89b7f5050592f",
+        "demo1d --input rand:5 --n 32 --shift 3": "de52e1aeea60c29b44f826116f20e47445cbbb351156dcfa7ec5ca56909583a8",
+        "oddpad --n 16 --stride 2": "fe243f2b551621d4a27464cf73235b68da01bdb33a7eeb89275e523364937d26",
+        "transitivity --seed 1": "cf2a6ad31a4a2c9421a97bb14aa3a3fdee605dcc67e55362d65fe7c552fd5f7e",
+        "consistency --seed 1 --pooling avg": "fa74a08541d00b2fac92be4fbde0e7895ddea901fb25f677b2ec8880cc0ca43d",
+        "bench": "f8e3c4ef5835e6b17d51a922751538578ae6f7eeee7a003dd58bff6cacd9792a",
+        "oddpad --n 256 --stride 4 --input smooth:9": "3002e509f7ff24dc61bda9b8c495288e8cea1da0b41cfe47c88c52c521f34c45",
+        "oddpad --n 64 --stride 2 --no-odd-padding": "dbdac74603dfaa44635435d590c895b7b7f93ffd1154d3fb88b4e89227900e2e",
+        "transitivity --n 128 --seed 4": "8313c36a874914b6990d57165f5744f0147f105c6f659be396ecde7e174447e7",
+        "transitivity --n 64 --m 24 --m2 6 --no-odd-padding": "3f5b8c35da3fac3316e4de89c7c067b42178456e77dfdd8638c3a6942b4b0182",
+    }
+
+    def test_digests_cover_every_determinism_case(self):
+        assert {" ".join(args) for args in self.CASES} <= set(self.DIGESTS)
+
+    @pytest.mark.parametrize("line", sorted(DIGESTS))
+    def test_stdout_matches_the_recorded_digest(self, line):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(line.split()) == 0
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == self.DIGESTS[line]
+
     def test_pooled_image_is_byte_identical_across_runs(self, tmp_path):
         rng = np.random.default_rng(4)
         src = tmp_path / "src.pgm"
@@ -198,6 +229,27 @@ class TestExitCodes:
 
     def test_bad_stride_is_a_config_error(self):
         assert run_cli("demo1d", "--n", "10", "--stride", "3", check=False).returncode == 2
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("oddpad", "--stride", "0"),
+            ("demo1d", "--stride", "0"),
+            ("consistency", "--stride", "0"),
+            ("pool", "--stride", "0"),
+            ("oddpad", "--stride", "-2"),
+            ("oddpad", "--n", "16", "--m", "0"),
+            ("oddpad", "--n", "16", "--m", "-4"),
+            ("oddpad", "--n", "16", "--m", "40"),
+        ],
+        ids=" ".join,
+    )
+    def test_bad_strides_and_pooled_lengths_are_config_errors(self, tmp_path, args):
+        src = tmp_path / "src.pgm"
+        write_netpbm(src, np.zeros((8, 8)))
+        out = tmp_path / ("out.pgm" if args[0] == "pool" else "out.csv")
+        files = ("--input", str(src)) if args[0] == "pool" else ()
+        assert cli.main([*args, *files, "--output", str(out)]) == 2
 
     def test_non_integer_sizes_and_non_finite_samples_are_config_errors(self, tmp_path):
         out = str(tmp_path / "out.csv")

@@ -1,20 +1,32 @@
 """Sweep summaries, retention ablation, and consistency scoring."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from sweep_oracle import per_shift_errors
 
 from fpool import pipeline
-from fpool.baselines import PoolingKind
+from fpool.baselines import BASELINE_KINDS, PoolingKind
 from fpool.metrics import (
     SweepResult,
     consistency_from_predictions,
     retention_ablation,
     shift_sweep,
 )
-from fpool.pipeline import Pipeline, Pool1d, Pool2d
-from fpool.pooling import kept_bins, make_plan
+from fpool.pipeline import (
+    Pipeline,
+    Pool1d,
+    Pool2d,
+    ReLU,
+    equivalence_error,
+    random_conv1d,
+    random_conv2d,
+)
+from fpool.pooling import kept_bins, make_plan, unpool1d
 
 
 def _tail_energy(x, m):
@@ -82,6 +94,116 @@ class TestShiftSweep:
             shift_sweep(net, lambda y: y, [0, 9], x)
         with pytest.raises(ValueError):
             shift_sweep(net, lambda y: y, [], x)
+
+
+def _nearest(stride, spatial):
+    """A callable upsampler that is not a plan: repeat each sample ``stride``
+    times along every spatial axis."""
+
+    def up(y):
+        for axis in range(-spatial, 0):
+            y = np.repeat(y, stride, axis=axis)
+        return y
+
+    return up
+
+
+@st.composite
+def _sweep_cases(draw, spatial, kind):
+    """A pipeline over ``spatial`` axes (optional conv, optional ReLU, one
+    pooling of ``kind``), its upsampler, an input and a shift list around a
+    chunk boundary."""
+    sizes = draw(st.sampled_from([(16,), (24,), (32,)] if spatial == 1 else [(8, 8), (8, 12), (16, 16)]))
+    stride = draw(st.sampled_from([s for s in (1, 2, 4) if all(n % s == 0 for n in sizes)]))
+    pad = draw(st.booleans())
+    seed = draw(st.integers(0, 2**32 - 1))
+    c_in = draw(st.integers(1, 2))
+    layers, channels = [], c_in
+    conv = draw(st.sampled_from([None, "circular", "zero"]))
+    if conv is not None:
+        channels, kernel = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        make = random_conv1d if spatial == 1 else random_conv2d
+        layers.append(make(seed % 1000, c_in, channels, kernel, padding=conv))
+    if draw(st.booleans()):
+        layers.append(ReLU())
+    pk = PoolingKind(kind, stride)
+    plans = [make_plan(n, n // stride, pad) if kind == "fpool" else None for n in sizes]
+    layers.append(Pool1d(pk, *plans) if spatial == 1 else Pool2d(pk, *plans))
+    net = Pipeline(tuple(layers), (c_in,) + sizes)
+    choice = draw(st.sampled_from(["plan", "none", "callable"]))
+    if choice == "plan":
+        direct = tuple(make_plan(n, n // stride, pad) for n in sizes)
+        upsampler = direct[0] if spatial == 1 else direct
+    else:
+        upsampler = None if choice == "none" else _nearest(stride, spatial)
+    largest = max(math.prod(s) for s in net.stage_shapes + ((channels,) + sizes,))
+    chunk = max(1, pipeline._SWEEP_CHUNK_DOUBLES // largest)
+    length = draw(st.sampled_from([1, max(1, chunk - 1), chunk, chunk + 1, 2 * chunk + 1]))
+    rng = np.random.default_rng(seed)
+    shifts = rng.integers(-sizes[-1], sizes[-1] + 1, size=length).tolist()
+    return net, upsampler, shifts, rng.standard_normal((c_in,) + sizes)
+
+
+class TestBatchedSweep:
+    """A sweep runs as chunked batches; the per-shift loop is its oracle."""
+
+    @pytest.mark.parametrize("kind", ("fpool",) + BASELINE_KINDS)
+    @pytest.mark.parametrize("spatial", [1, 2])
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_errors_equal_the_per_shift_loop_bit_for_bit(self, spatial, kind, data):
+        net, upsampler, shifts, x = data.draw(_sweep_cases(spatial, kind))
+        result = shift_sweep(net, upsampler, shifts, x)
+        assert result.errors == per_shift_errors(net, upsampler, shifts, x)
+        # equivalence_error is the one-shift case, including (dy, dx) for images
+        delta = shifts[0] if x.ndim == 2 else (shifts[0], -shifts[-1])
+        single = equivalence_error(net, upsampler, delta, x)
+        assert (single,) == per_shift_errors(net, upsampler, [delta], x)
+
+    @pytest.mark.parametrize("shape", [(1, 24), (1, 16, 16)])
+    def test_strided_baseline_output_upsamples_as_one_sample_does(self, shape):
+        # in a batch a baseline's output is not C-contiguous (numpy puts the
+        # sample axis inside the pooled one); the unpadded plans' upsampler
+        # must still round each sample as it rounds that sample alone
+        stride = 4 if len(shape) == 2 else 2
+        kind = PoolingKind("avg", stride)
+        plans = tuple(make_plan(n, n // stride) for n in shape[1:])
+        net = Pipeline(((Pool1d if len(shape) == 2 else Pool2d)(kind),), shape)
+        up = plans[0] if len(shape) == 2 else plans
+        x = np.random.default_rng(1).standard_normal(shape)
+        shifts = range(-shape[-1], shape[-1] + 1)
+        assert shift_sweep(net, up, shifts, x).errors == per_shift_errors(net, up, shifts, x)
+
+    @staticmethod
+    def _oddpad_sweep():
+        plan = make_plan(256, 64, odd_padding=True)
+        net = Pipeline((Pool1d(PoolingKind("fpool", 4), plan),), (1, 256))
+        return net, plan, np.random.default_rng(6).standard_normal((1, 256))
+
+    def test_one_forward_and_one_upsampling_per_chunk_plus_the_reference(self, monkeypatch):
+        forwards, upsampled = [], []
+        forward = Pipeline.forward
+        monkeypatch.setattr(Pipeline, "forward", lambda net, x: forwards.append(x.shape) or forward(net, x))
+        net, plan, x = self._oddpad_sweep()
+        up = lambda y: upsampled.append(y.shape) or unpool1d(plan, y)
+        shift_sweep(net, up, range(-256, 257), x)
+        chunk = pipeline._SWEEP_CHUNK_DOUBLES // 256
+        assert chunk == 16  # 513 shifts: 32 full chunks and one of a single shift
+        assert forwards == [(1, 1, 256)] + [(16, 1, 256)] * 32 + [(1, 1, 256)]
+        assert upsampled == [(s, 1, 64) for s, _, _ in forwards]
+
+    def test_memory_peak_does_not_grow_with_the_sweep(self):
+        # unchunked, each stage array of this sweep would hold 513 x 256
+        # doubles (1 MB); a chunk's arrays hold 32 KB each
+        net, plan, x = self._oddpad_sweep()
+        shift_sweep(net, plan, range(-4, 5), x)
+        tracemalloc.start()
+        try:
+            shift_sweep(net, plan, range(-256, 257), x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 400_000
 
 
 class TestRetentionAblation:

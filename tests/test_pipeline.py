@@ -21,8 +21,9 @@ from fpool.pipeline import (
     random_linear,
     toy_classifier_consistency,
     toy_classifier_predictions,
-    transitivity_report,
 )
+from fpool import metrics
+from fpool.metrics import transitivity_report
 from fpool.pooling import make_plan, pool1d
 
 
@@ -210,6 +211,21 @@ class TestPipeline:
         np.testing.assert_array_equal(outs[0], x)
         assert outs[-1].shape == (2,)
 
+    def test_forward_takes_a_batch_of_samples(self):
+        rng = np.random.default_rng(12)
+        for padding in ("circular", "zero"):
+            net = Pipeline(
+                (random_conv2d(3, 2, 3, 3, padding), ReLU(), Pool2d(PoolingKind("max", 2))), (2, 8, 6)
+            )
+            batch = rng.standard_normal((5, 2, 8, 6))
+            outs = net.forward(batch)
+            assert [o.shape for o in outs] == [(5,) + s for s in net.stage_shapes]
+            for sample, out in zip(batch, outs[-1]):
+                np.testing.assert_array_equal(out, net.forward(sample)[-1])
+        head = Pipeline((ReLU(), GlobalAvg(), Softmax()), (2, 8))
+        with pytest.raises(ValueError, match="spatial features at every stage"):
+            head.forward(np.zeros((3, 2, 8)))
+
     def test_forward_rejects_wrong_input_shape(self):
         net = Pipeline((ReLU(),), (1, 8))
         with pytest.raises(ValueError):
@@ -290,33 +306,38 @@ class TestEquivalenceError:
 
 class TestTransitivityReport:
     def test_single_stages_are_equivalent_but_the_nonlinear_cascade_is_not(self):
-        rows = {row.segment: row for row in transitivity_report(seed=7)}
-        assert rows["stage1_pool/coupled_inverse"].equivalent
-        assert rows["stage2_relu_pool/coupled_inverse"].equivalent
-        assert rows["cascade_pool_pool/direct_inverse"].equivalent
-        bad = rows["cascade_pool_relu_pool/direct_inverse"]
-        assert not bad.equivalent
+        sweeps = dict(transitivity_report(seed=7))
+        assert sweeps["stage1_pool/coupled_inverse"].all_exact
+        assert sweeps["stage2_relu_pool/coupled_inverse"].all_exact
+        assert sweeps["cascade_pool_pool/direct_inverse"].all_exact
+        bad = sweeps["cascade_pool_relu_pool/direct_inverse"]
+        assert not bad.all_exact
         assert bad.max_error > 1e-6 * bad.input_norm
 
     def test_sweep_covers_two_full_periods_plus_center(self):
-        rows = transitivity_report(seed=0, sizes=(16, 8, 4))
-        assert rows[0].shifts == tuple(range(-16, 17))
-        assert rows[1].shifts == tuple(range(-8, 9))
-        assert len(rows[0].errors) == len(rows[0].shifts)
+        (_, first), (_, second) = transitivity_report(seed=0, sizes=(16, 8, 4))[:2]
+        assert first.shifts == tuple(range(-16, 17))
+        assert second.shifts == tuple(range(-8, 9))
+        assert len(first.errors) == len(first.shifts)
 
     def test_size_validation(self):
         with pytest.raises(ValueError):
             transitivity_report(seed=0, sizes=(8, 16, 4))
 
-    def test_sweep_row_builds_the_direct_plan_once(self, monkeypatch):
+    def test_report_builds_each_plan_once(self, monkeypatch):
+        # the two stage plans and the direct plan, none of them per shift;
+        # both cascades share the direct plan
         built = []
-        real = pipeline.make_plan
-        monkeypatch.setattr(pipeline, "make_plan", lambda *args: built.append(args) or real(*args))
-        net = Pipeline((Pool1d(PoolingKind("fpool", 4), real(16, 4, True)),), (1, 16))
+        real = make_plan
+        for module in (metrics, pipeline):
+            monkeypatch.setattr(module, "make_plan", lambda *args: built.append(args) or real(*args))
+        report = transitivity_report(seed=5, sizes=(16, 8, 4))
+        assert built == [(16, 8, True), (8, 4, True), (16, 4, True)]
+        _, linear = report[3]
+        fp = PoolingKind("fpool", 2)
+        net = Pipeline((Pool1d(fp, real(16, 8, True)), Pool1d(fp, real(8, 4, True))), (1, 16))
         x = np.random.default_rng(5).standard_normal((1, 16))
-        row = pipeline._sweep_row("pool", net, None, x, range(-16, 17))
-        assert built == [(16, 4)]
-        assert row.errors == pipeline._sweep_row("pool", net, real(16, 4), x, range(-16, 17)).errors
+        assert linear.errors == metrics.shift_sweep(net, real(16, 4, True), range(-16, 17), x).errors
 
 
 class TestToyClassifier:

@@ -641,6 +641,30 @@ class TestDiagnostics:
             kernel(*plans, image)
         assert rogue.last_imag_max == -1.0 and clean.last_imag_max == -1.0
 
+    @pytest.mark.parametrize("kernel", [pool2d, unpool2d])
+    @pytest.mark.parametrize("violating_first", [True, False])
+    def test_2d_stack_holds_each_image_to_its_own_norm(self, kernel, violating_first):
+        # rows through the rogue plan, columns through a clean one: the small
+        # image's edge residue breaks the contract at its own norm, though
+        # not at the norm of a stack that the large image dominates
+        rogue, clean = self._rogue_plan(), make_plan(16, 8, odd_padding=True)
+        rogue.last_imag_max = clean.last_imag_max = -1.0
+        size = rogue.n if kernel is pool2d else rogue.m
+        edge = rogue.edge_weights if kernel is pool2d else rogue.edge_signs
+        small = 1e-6 * np.outer(edge, np.ones(size)) / (np.linalg.norm(edge) * np.sqrt(size))
+        large = np.full((size, size), 1e9 / size)  # orthogonal to the edge vector
+        assert abs(edge @ large).max() <= 1e-6
+        images = [small, large] if violating_first else [large, small]
+        stack = np.stack(images)
+        for batch in (stack, stack[None], np.stack(images * 2).reshape(2, 2, size, size)):
+            with pytest.raises(ContractViolationError):
+                kernel(rogue, clean, batch)
+            assert rogue.last_imag_max == -1.0 and clean.last_imag_max == -1.0
+        with pytest.raises(ContractViolationError):
+            kernel(rogue, clean, small)  # alone, too
+        kernel(rogue, clean, large)  # the clean image alone passes
+        assert rogue.last_imag_max <= 1e-9 * np.linalg.norm(large)
+
     def test_contract_error_type_exists(self):
         assert issubclass(ContractViolationError, RuntimeError)
 
