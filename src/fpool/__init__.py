@@ -28,16 +28,7 @@ from .pooling import (
     unpool1d,
     unpool2d,
 )
-from .spectral import (
-    circular_shift,
-    dft,
-    dft_matrix,
-    diagonal_shift,
-    idft,
-    low_high_split,
-    shift_phase,
-    signed_frequency,
-)
+from .spectral import circular_shift, dft_matrix, shift_phase, signed_frequency
 
 __all__ = [
     "ContractViolationError",
@@ -47,13 +38,9 @@ __all__ = [
     "SweepResult",
     "circular_shift",
     "consistency_from_predictions",
-    "dft",
     "dft_matrix",
-    "diagonal_shift",
     "equivalence_error",
-    "idft",
     "kept_bins",
-    "low_high_split",
     "make_plan",
     "pool1d",
     "pool2d",

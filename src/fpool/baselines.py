@@ -3,6 +3,10 @@
 Every baseline pools the trailing axis by an integer stride that must divide
 the length.  None of them is shift-equivalent under coupled upsampling
 (the tests exhibit witnesses); they exist to be compared against.
+
+The kind ``"blur"`` is a circular box filter (width: the stride, or
+``window``) followed by subsampling.  That is average pooling, bit for bit;
+it is not BlurPool's binomial filter.
 """
 
 from __future__ import annotations
@@ -94,8 +98,9 @@ def pool_stride(x, stride: int) -> np.ndarray:
 def pool_blur_stride(x, stride: int, box: int | None = None) -> np.ndarray:
     """Circular box filter (width = stride unless given) followed by subsampling.
 
-    With the default box this coincides with average pooling at window =
-    stride, which the tests pin down to 1e-12.
+    It equals ``pool_avg(x, box or stride, stride)`` bit for bit, which the
+    tests pin down, but filters all ``n`` samples before it keeps every
+    stride-th.
     """
     x, n = _checked(x, stride)
     box = stride if box is None else int(box)

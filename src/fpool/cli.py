@@ -327,7 +327,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(n=16, stride=2)
 
     p = sub.add_parser("transitivity", help="stacked pooling segments and cascade verdicts")
-    common(p)
+    common(p, shift_range=False)
     p.add_argument("--m2", type=int, help="second-stage length (default: m / 2)")
     p.set_defaults(n=32, m=16, m2=8)
 

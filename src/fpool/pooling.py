@@ -25,8 +25,10 @@ every row of ``A`` is a strided copy of it, O(P log P + n*m) in all.  Inputs
 are real, so ``Re(matrix @ x) = A @ x``: :func:`pool1d` and :func:`unpool1d`
 are one real BLAS product over the trailing axis of a signal or of a whole
 batch with any leading axes, :func:`pool2d` and :func:`unpool2d` one per
-image axis, plus rank-1 terms that also give the imaginary magnitude the
-real-valued API discards.  The build verifies the full round
+image axis, plus the real product of the two rank-1 edge terms.  A plan is
+immutable, and it is checked once, when it is constructed: a
+conjugate-symmetric band must carry no edge weights, so a real-valued call
+on it never discards an imaginary part.  The build verifies the full round
 trip ``matrix @ inverse_matrix`` entrywise, in complex modulus, from the
 same pieces: real part ``(n/m) * (A @ A.T + (v @ v) * outer(u, u))`` and
 imaginary part ``(n/m) * (outer(u, A @ v) - outer(A @ v, u))``; the
@@ -75,17 +77,17 @@ class ContractViolationError(RuntimeError):
     """A numeric identity that the construction guarantees failed to hold."""
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class FPoolPlan:
-    """Pooling plan ``n -> m`` with its coupled inverse, in real form.
+    """Immutable pooling plan ``n -> m`` with its coupled inverse, in real form.
 
     ``real_part`` is the real ``(m, n)`` array ``A`` and ``edge_weights`` the
     length-``n`` vector ``v`` of the module docstring; ``edge_signs`` is
-    ``u = (-1)**arange(m)``.  All three are read-only.  ``matrix`` and
-    ``inverse_matrix`` give the complex pair, assembled anew on each access;
-    no pool or unpool call reads them.  ``last_imag_max`` is a diagnostic
-    only: the largest imaginary magnitude discarded by the most recent
-    pool/unpool call.
+    ``u = (-1)**arange(m)``.  Construction marks all three read-only, and
+    raises :class:`ContractViolationError` for a conjugate-symmetric band
+    with nonzero edge weights, whose real-valued calls would discard an
+    imaginary part.  ``matrix`` and ``inverse_matrix`` give the complex
+    pair, assembled anew on each access; no pool or unpool call reads them.
     """
 
     n: int
@@ -93,12 +95,17 @@ class FPoolPlan:
     odd_padding: bool
     real_part: np.ndarray = field(repr=False)
     edge_weights: np.ndarray = field(repr=False)
-    last_imag_max: float = field(default=0.0, repr=False)
     edge_signs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.edge_signs = np.where(np.arange(self.m) % 2 == 0, 1.0, -1.0)
-        self.edge_signs.setflags(write=False)
+        if self.symmetric_band and self.edge_weights.any():
+            raise ContractViolationError(
+                f"plan {self.n}->{self.m} keeps a symmetric band but carries edge weights"
+            )
+        signs = np.where(np.arange(self.m) % 2 == 0, 1.0, -1.0)
+        for array in (self.real_part, self.edge_weights, signs):
+            array.setflags(write=False)
+        object.__setattr__(self, "edge_signs", signs)
 
     @property
     def symmetric_band(self) -> bool:
@@ -190,8 +197,6 @@ def make_plan(n: int, m: int, odd_padding: bool = False) -> FPoolPlan:
     edge = np.zeros(n)
     if m % 2 == 0 and m < n and not odd_padding:  # the unmatched edge frequency -m/2
         edge = np.sin((np.pi / n) * (m * np.arange(n) % (2 * n))) / n
-    real_part.setflags(write=False)
-    edge.setflags(write=False)
     plan = FPoolPlan(
         n=n, m=m, odd_padding=bool(odd_padding), real_part=real_part, edge_weights=edge
     )
@@ -246,34 +251,14 @@ def _check_real_1d(x, length: int, name: str) -> np.ndarray:
     return x
 
 
-def _record_imag(plans, peaks, x: np.ndarray, sample_ndim: int) -> None:
-    """Hold each sample of ``x``, its trailing ``sample_ndim`` axes, to the
-    symmetric-band contract at its own norm, as a call on that sample alone
-    would: if the plans keep a symmetric band and a sample's discarded
-    imaginary peak (``peaks``, one per sample) exceeds ``EXACTNESS_TOL``
-    times its norm, raise and leave every plan untouched.  Otherwise record
-    the largest peak on every plan.  Norms are computed only when a peak
-    exceeds the bare tolerance, so clean calls pay nothing."""
-    imag_max = float(np.max(peaks, initial=0.0))
-    if imag_max > EXACTNESS_TOL and all(p.symmetric_band for p in plans):
-        norms = np.sqrt(np.sum(x * x, axis=tuple(range(-sample_ndim, 0))))
-        if np.any(peaks > EXACTNESS_TOL * np.maximum(1.0, norms)):
-            raise ContractViolationError(
-                f"symmetric-band plan discarded imaginary magnitude {imag_max:.3e}"
-            )
-    for p in plans:
-        p.last_imag_max = imag_max
-
-
 def pool1d(plan: FPoolPlan, x) -> np.ndarray:
     """Pool real signals ``(..., n)`` to ``(..., m)``; leading axes are a batch.
 
     Keeps the signal's mean, keeps every below-band tone exactly on the
     coarse grid, and annihilates every outside-band tone.  For plans with a
-    conjugate-symmetric band the result is exactly real; otherwise the edge
-    residue ``u * (v @ x)`` is discarded and its largest magnitude over the
-    batch recorded in ``plan.last_imag_max``.  NaN or infinite entries are
-    a ``ValueError``, as in every pool/unpool call.
+    conjugate-symmetric band the result is exactly real; otherwise it is the
+    real part, and the edge residue ``u * (v @ x)`` is discarded.  NaN or
+    infinite entries are a ``ValueError``, as in every pool/unpool call.
     """
     return _apply_1d(plan, x, inverse=False)
 
@@ -289,11 +274,9 @@ def unpool1d(plan: FPoolPlan, y) -> np.ndarray:
 
 
 def _apply_1d(plan: FPoolPlan, x, inverse: bool) -> np.ndarray:
-    """``x @ P.T`` over the trailing axis (times ``n/m`` when upsampling),
-    ``(P, p, q)`` from :func:`_axis_map`.  A row discards the imaginary part
-    ``(x @ q) * p``, of peak ``|x @ q| * max|p|`` (``max|p| = 1`` when
-    pooling); :func:`_record_imag` holds each row to the contract."""
-    mat, p, q = _axis_map(plan, inverse)
+    """``x @ A.T`` over the trailing axis, or ``(n/m) * x @ A`` when
+    upsampling: the real part of the complex map."""
+    mat = plan.real_part.T if inverse else plan.real_part
     name = "y" if inverse else "x"
     # numpy rounds a product with a one-row matrix by memory layout (BLAS
     # for contiguous rows, a strided loop otherwise): on a C-contiguous
@@ -302,11 +285,7 @@ def _apply_1d(plan: FPoolPlan, x, inverse: bool) -> np.ndarray:
     if x.ndim == 0 or x.shape[-1] != mat.shape[1]:
         raise ValueError(f"{name} must be (..., {mat.shape[1]}), got shape {x.shape}")
     _finite_norm(x, name)
-    gain = plan.n / plan.m if inverse else 1.0
-    peak = gain * float(np.max(np.abs(p))) if inverse else 1.0
-    # one peak per row; a scalar for one signal
-    _record_imag((plan,), abs(x @ q) * peak, x, sample_ndim=1)
-    return (gain * x if inverse else x) @ mat.T
+    return (plan.n / plan.m * x if inverse else x) @ mat.T
 
 
 def pool2d(plan_rows: FPoolPlan, plan_cols: FPoolPlan, image) -> np.ndarray:
@@ -316,8 +295,7 @@ def pool2d(plan_rows: FPoolPlan, plan_cols: FPoolPlan, image) -> np.ndarray:
     The result is the real part of the complex chain
     ``matrix_rows @ image @ matrix_cols.T``, evaluated in real arithmetic:
     ``A_r @ image @ A_c.T`` minus the rank-1 product of the two edge terms.
-    Each image of a batch answers to the symmetric-band contract at its own
-    norm, as in :func:`pool1d`.  NaN or infinite entries are a ``ValueError``.
+    NaN or infinite entries are a ``ValueError``.
     """
     return _apply_2d(plan_rows, plan_cols, image, inverse=False)
 
@@ -348,22 +326,13 @@ def _apply_2d(plan_rows, plan_cols, image, inverse: bool) -> np.ndarray:
     scaled = img * (plan_rows.n / plan_rows.m * plan_cols.n / plan_cols.m) if inverse else img
     out = left @ scaled @ right.T
     # (P_r + i p_r q_r^T) X (P_c + i p_c q_c^T)^T: the product of the two
-    # edge terms is real, and the imaginary part is p_r a^T + b p_c^T with
-    # a = P_c X^T q_r and b = P_r X q_c; all vanish with the edge weights.
-    peaks = 0.0
-    edge_r, edge_c = plan_rows.edge_weights.any(), plan_cols.edge_weights.any()
-    if edge_r or edge_c:
+    # edge terms is real, the rest of the edge terms imaginary and discarded
+    if plan_rows.edge_weights.any() and plan_cols.edge_weights.any():
         # numpy rounds a matrix-vector product by memory layout (BLAS for
-        # contiguous rows, a strided loop otherwise), so the edge terms use a
+        # contiguous rows, a strided loop otherwise), so the edge term uses a
         # C-contiguous copy: an image rounds alike alone and inside a batch
         flat = np.ascontiguousarray(scaled)
-        qx = q_r @ flat
-        a, b = qx @ right.T, flat @ q_c @ left.T
-        if edge_r and edge_c:
-            out -= (qx @ q_c)[..., None, None] * np.outer(p_r, p_c)
-        imag = p_r[:, None] * a[..., None, :] + b[..., :, None] * p_c
-        peaks = np.abs(imag).reshape(imag.shape[:-2] + (-1,)).max(axis=-1, initial=0.0)
-    _record_imag((plan_rows, plan_cols), peaks, img, sample_ndim=2)
+        out -= (q_r @ flat @ q_c)[..., None, None] * np.outer(p_r, p_c)
     return out
 
 

@@ -1,39 +1,33 @@
-"""Dense Fourier transform core and circular-shift utilities.
+"""Transform convention and circular-shift utilities.
 
 Conventions, fixed once for the whole package:
 
-* the forward transform is the unscaled matrix product ``F @ x`` with
-  ``F[k, j] = exp(-2j*pi*k*j/n)``; the inverse matrix is the elementwise
-  conjugate of ``F``, so ``idft(dft(x)) == n * x``,
+* the forward transform of ``x`` is the unscaled product ``F @ x`` with
+  ``F[k, j] = exp(-2j*pi*k*j/n)`` (``dft_matrix``, the literal definition),
+  and the inverse uses the elementwise conjugate of ``F``, so the round
+  trip scales by ``n``; ``np.fft.fft`` and ``n * np.fft.ifft`` follow the
+  same convention, which the tests pin to 1e-9,
 * negative frequencies live at tail indices (bin ``n-1`` is frequency -1),
 * ``circular_shift(x, d)`` places ``x[j]`` at index ``(j + d) % n``.
 
-``dft`` and ``idft`` are the dense matrix products, the literal definition
-of the convention; ``np.fft.fft`` and ``n * np.fft.ifft`` follow the same
-convention, which the tests pin to 1e-9.  ``dft_matrix`` caches every order
-it is asked for, O(n**2) memory each, so no other function of the package
-calls it: plans are built in closed form from one FFT and pool in real
-arithmetic (see :mod:`fpool.pooling`), :func:`low_high_split` runs
-``np.fft``, and the dense matrices serve the tests as the reference both
-are checked against.
+``dft_matrix`` caches every order it is asked for, O(n**2) memory each, so
+no other function of the package calls it: plans are built in closed form
+from one FFT and pool in real arithmetic (see :mod:`fpool.pooling`), and
+the dense matrices serve the tests as the reference both are checked
+against.
 """
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
     "dft_matrix",
-    "dft",
-    "idft",
     "signed_frequency",
     "circular_shift",
-    "diagonal_shift",
     "shift_phase",
-    "low_high_split",
 ]
 
 
@@ -60,25 +54,6 @@ def dft_matrix(n: int) -> np.ndarray:
     return f
 
 
-def _as_vector(x, name: str) -> np.ndarray:
-    x = np.asarray(x)
-    if x.ndim != 1 or x.shape[0] < 1:
-        raise ValueError(f"{name} must be a nonempty 1-D array, got shape {x.shape}")
-    return x
-
-
-def dft(x) -> np.ndarray:
-    """Unscaled forward transform ``F @ x`` (matrix path)."""
-    x = _as_vector(x, "x")
-    return dft_matrix(x.shape[0]) @ x
-
-
-def idft(spectrum) -> np.ndarray:
-    """Unscaled inverse ``conj(F) @ spectrum``; note ``idft(dft(x)) == n*x``."""
-    s = _as_vector(spectrum, "spectrum")
-    return np.conj(dft_matrix(s.shape[0])) @ s
-
-
 def signed_frequency(n: int) -> np.ndarray:
     """Signed frequency of each bin: 0, 1, ..., then negatives at the tail.
 
@@ -98,15 +73,6 @@ def circular_shift(x, delta_t: int, axis: int = -1) -> np.ndarray:
     return np.roll(x, int(delta_t), axis=axis)
 
 
-def diagonal_shift(image, delta_t: int) -> np.ndarray:
-    """Shift an image by ``delta_t`` along both trailing axes (rows and columns)."""
-    img = np.asarray(image)
-    if img.ndim < 2:
-        raise ValueError(f"diagonal shift needs at least 2 axes, got shape {img.shape}")
-    d = int(delta_t)
-    return np.roll(img, (d, d), axis=(-2, -1))
-
-
 def shift_phase(spectrum, delta_t: float) -> np.ndarray:
     """Apply the spectral equivalent of a circular shift.
 
@@ -115,34 +81,8 @@ def shift_phase(spectrum, delta_t: float) -> np.ndarray:
     :func:`circular_shift` through the inverse transform; fractional values
     are allowed and give the band-limited sub-sample shift.
     """
-    s = _as_vector(spectrum, "spectrum")
+    s = np.asarray(spectrum)
+    if s.ndim != 1 or s.shape[0] < 1:
+        raise ValueError(f"spectrum must be a nonempty 1-D array, got shape {s.shape}")
     n = s.shape[0]
     return s * np.exp((-2j * np.pi / n) * signed_frequency(n) * float(delta_t))
-
-
-def low_high_split(x, mu: int) -> tuple[np.ndarray, np.ndarray]:
-    """Split a real signal into its kept-band and discarded-band parts.
-
-    The kept band is the conjugate-symmetric set of frequencies
-    ``{-(mu-1), ..., mu-1}``; for even ``n`` and ``mu = n/2`` the unmatched
-    edge bin stays in the high part.  Returns ``(x_l, x_h)`` with
-    ``x_l + x_h == x``; the two parts are orthogonal and split the energy
-    (Parseval), which the tests assert.
-
-    Parameters
-    ----------
-    x : array_like
-        Real 1-D signal of length ``n``.
-    mu : int
-        Band half-width bookkeeping parameter, ``1 <= mu <= ceil(n/2)``.
-    """
-    x = _as_vector(x, "x")
-    if np.iscomplexobj(x):
-        raise ValueError("x must be real")
-    n = x.shape[0]
-    mu = int(mu)
-    if not 1 <= mu <= math.ceil(n / 2):
-        raise ValueError(f"mu must satisfy 1 <= mu <= ceil(n/2) = {math.ceil(n / 2)}, got {mu}")
-    keep = np.abs(signed_frequency(n)) <= mu - 1
-    x_l = np.fft.ifft(np.fft.fft(x) * keep).real  # imaginary residue is zero for a symmetric band
-    return x_l, x - x_l

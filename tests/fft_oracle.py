@@ -1,14 +1,38 @@
-"""np.fft reference for the pooling maps, independent of any plan matrix.
+"""Test references: the dense transform and np.fft pooling maps.
 
-Pooling ``n -> m`` keeps the signed frequencies ``-floor(m/2) .. ceil(m/2)-1``,
-without the unmatched edge ``-m/2`` under odd padding (even ``m < n``).
-Frequency ``f`` sits in source bin ``f % n`` and pooled bin ``f % m``.  Both
-maps act on the trailing axis, so any leading axes are a batch, and return
-the complex result: the real-valued API returns its real part and records
-its largest imaginary magnitude.
+``dft`` and ``idft`` are the literal matrix products of the package's
+transform convention (``fpool.spectral.dft_matrix``).  ``fft_pool`` and
+``fft_unpool`` compute the pooling maps with np.fft, independent of any plan
+matrix.  Pooling ``n -> m`` keeps the signed frequencies
+``-floor(m/2) .. ceil(m/2)-1``, without the unmatched edge ``-m/2`` under
+odd padding (even ``m < n``).  Frequency ``f`` sits in source bin ``f % n``
+and pooled bin ``f % m``.  Both maps act on the trailing axis, so any
+leading axes are a batch, and return the complex result: the real-valued
+API returns its real part.
 """
 
 import numpy as np
+
+from fpool.spectral import dft_matrix
+
+
+def _as_vector(x, name):
+    x = np.asarray(x)
+    if x.ndim != 1 or x.shape[0] < 1:
+        raise ValueError(f"{name} must be a nonempty 1-D array, got shape {x.shape}")
+    return x
+
+
+def dft(x):
+    """Unscaled forward transform ``F @ x`` (matrix path)."""
+    x = _as_vector(x, "x")
+    return dft_matrix(x.shape[0]) @ x
+
+
+def idft(spectrum):
+    """Unscaled inverse ``conj(F) @ spectrum``; note ``idft(dft(x)) == n*x``."""
+    s = _as_vector(spectrum, "spectrum")
+    return np.conj(dft_matrix(s.shape[0])) @ s
 
 
 def _kept_frequencies(n, m, odd_padding):

@@ -241,6 +241,9 @@ class TestExitCodes:
             ("oddpad", "--n", "16", "--m", "0"),
             ("oddpad", "--n", "16", "--m", "-4"),
             ("oddpad", "--n", "16", "--m", "40"),
+            # transitivity sweeps every shift -n..n; a range would be ignored
+            ("transitivity", "--shift-min", "-3"),
+            ("transitivity", "--shift-max", "3"),
         ],
         ids=" ".join,
     )

@@ -6,6 +6,8 @@ products that define a plan, independent of the closed-form construction
 under test.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from fft_oracle import fft_pool, fft_unpool
@@ -253,7 +255,9 @@ class TestPool1d:
         plan = make_plan(16, 8)
         out = pool1d(plan, x)
         np.testing.assert_allclose(out, 0.5 * np.cos(phi) * (-1.0) ** np.arange(8), atol=1e-9)
-        assert plan.last_imag_max == pytest.approx(0.5 * np.sin(phi), abs=1e-9)
+        discarded = plan.edge_signs * (plan.edge_weights @ x)  # the rank-1 edge term
+        np.testing.assert_allclose(discarded, fft_pool(x, 8).imag, rtol=0, atol=1e-9)
+        assert np.max(np.abs(discarded)) == pytest.approx(0.5 * np.sin(phi), abs=1e-9)
 
     def test_edge_tone_with_padding_is_annihilated(self):
         phi = 0.7
@@ -467,6 +471,14 @@ class TestPool2d:
         with pytest.raises(ValueError):
             pool2d(pr, pc, np.zeros(8))
 
+    @pytest.mark.parametrize("pad", [False, True])
+    def test_empty_leading_batch_gives_an_empty_result(self, pad):
+        plan = make_plan(16, 8, pad)
+        assert pool1d(plan, np.empty((0, 16))).shape == (0, 8)
+        assert unpool1d(plan, np.empty((0, 3, 8))).shape == (0, 3, 16)
+        assert pool2d(plan, plan, np.empty((0, 16, 16))).shape == (0, 8, 8)
+        assert unpool2d(plan, plan, np.empty((2, 0, 8, 8))).shape == (2, 0, 16, 16)
+
 
 class TestReconstructionDecomposition:
     def test_band_limited_signal_has_zero_errors(self):
@@ -587,83 +599,102 @@ class TestDiagnostics:
     def test_symmetric_plan_never_raises_on_clean_input(self):
         rng = np.random.default_rng(25)
         plan = make_plan(16, 8, odd_padding=True)
-        pool1d(plan, rng.standard_normal(16))
-        assert plan.last_imag_max <= 1e-9
+        x = rng.standard_normal(16)
+        # nothing is discarded: the complex map of x is real
+        assert not plan.edge_weights.any()
+        assert np.max(np.abs(fft_pool(x, 8, odd_padding=True).imag)) <= 1e-9
+        np.testing.assert_allclose(pool1d(plan, x), fft_pool(x, 8, True).real, atol=1e-9)
 
     @staticmethod
-    def _rogue_plan():
-        """A symmetric-band plan whose edge weights are not zero, as no build makes."""
-        base = make_plan(16, 8)
-        plan = FPoolPlan(
-            n=16, m=8, odd_padding=True, real_part=base.real_part, edge_weights=base.edge_weights
-        )
-        assert plan.symmetric_band and plan.edge_weights.any()
-        return plan
+    def _rogue_fields(n=16, m=8, odd_padding=True):
+        """Fields of a symmetric-band plan whose edge weights are not zero, as no build makes."""
+        base = make_plan(n, m, odd_padding)
+        edge = np.full(n, 1e-12)
+        return dict(n=n, m=m, odd_padding=odd_padding, real_part=base.real_part, edge_weights=edge)
 
     def test_contract_check_catches_a_symmetric_plan_with_edge_weights(self):
-        rogue = self._rogue_plan()
-        rng = np.random.default_rng(30)
-        x, y = rng.standard_normal(16), (-1.0) ** np.arange(8)  # y excites the edge tone
-        for call in (lambda: pool1d(rogue, x), lambda: unpool1d(rogue, y)):
-            with pytest.raises(ContractViolationError):
-                call()
-            assert rogue.last_imag_max == 0.0  # a violation records nothing
+        # checked once, at construction: no kernel call can meet such a plan
+        for n, m, pad in [(16, 8, True), (16, 5, False), (8, 8, False), (1, 1, True)]:
+            fields = self._rogue_fields(n, m, pad)
+            with pytest.raises(ContractViolationError, match="symmetric band"):
+                FPoolPlan(**fields)
+            assert FPoolPlan(**(fields | {"edge_weights": np.zeros(n)})).symmetric_band
+
+    def test_plan_fields_cannot_be_assigned(self):
+        plan = make_plan(16, 8)
+        for name in ("n", "m", "odd_padding", "real_part", "edge_weights", "edge_signs"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(plan, name, getattr(plan, name))
+
+    def test_hand_built_plan_arrays_are_read_only(self):
+        base = make_plan(16, 8)
+        real_part, edge = base.real_part.copy(), base.edge_weights.copy()
+        assert real_part.flags.writeable and edge.flags.writeable
+        plan = FPoolPlan(n=16, m=8, odd_padding=False, real_part=real_part, edge_weights=edge)
+        for array in (plan.real_part, plan.edge_weights, plan.edge_signs):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
 
     @pytest.mark.parametrize("kernel", [pool1d, unpool1d])
-    @pytest.mark.parametrize("violating_first", [True, False])
-    def test_batch_holds_each_row_to_its_own_norm(self, kernel, violating_first):
-        # the small row's edge residue breaks the contract at its own norm,
-        # though not at the norm of the batch, which the large row dominates
-        rogue = self._rogue_plan()
-        rogue.last_imag_max = -1.0
-        length = rogue.n if kernel is pool1d else rogue.m
-        edge = rogue.edge_weights if kernel is pool1d else rogue.edge_signs
+    @pytest.mark.parametrize("small_first", [True, False])
+    def test_batch_holds_each_row_to_its_own_norm(self, kernel, small_first):
+        # a small row shaped like the edge term, stacked with a large row:
+        # through a symmetric band each row is exact at its own norm and its
+        # complex map has no imaginary part to discard
+        plan = make_plan(16, 8, odd_padding=True)
+        if kernel is pool1d:
+            length, edge, oracle = plan.n, make_plan(16, 8).edge_weights, lambda b: fft_pool(b, 8, True)
+        else:
+            length, edge, oracle = plan.m, plan.edge_signs, lambda b: fft_unpool(b, 16, True)
         small = 1e-6 * edge / np.linalg.norm(edge)
-        large = np.full(length, 1e9 / np.sqrt(length))  # orthogonal to the edge vector
-        assert abs(edge @ large) <= 1e-6
-        rows = [small, large] if violating_first else [large, small]
+        large = np.full(length, 1e9 / np.sqrt(length))
+        rows = [small, large] if small_first else [large, small]
         for batch in (np.stack(rows), np.stack(rows)[None], np.stack(rows * 2).reshape(2, 2, -1)):
-            with pytest.raises(ContractViolationError):
-                kernel(rogue, batch)
-            assert rogue.last_imag_max == -1.0
-        kernel(rogue, large)  # the clean row alone passes
-        assert rogue.last_imag_max <= 1e-9 * np.linalg.norm(large)
+            got, want = kernel(plan, batch), oracle(batch)
+            for index in np.ndindex(*batch.shape[:-1]):
+                tol = 1e-9 * np.linalg.norm(batch[index])
+                np.testing.assert_allclose(got[index], want[index].real, rtol=0, atol=tol)
+                assert np.max(np.abs(want[index].imag)) <= tol
 
     @pytest.mark.parametrize("kernel", [pool2d, unpool2d])
-    @pytest.mark.parametrize("rogue_first", [True, False])
-    def test_2d_contract_violation_updates_neither_plan(self, kernel, rogue_first):
-        rogue, clean = self._rogue_plan(), make_plan(16, 8, odd_padding=True)
-        rogue.last_imag_max = clean.last_imag_max = -1.0
-        plans = (rogue, clean) if rogue_first else (clean, rogue)
-        size = 16 if kernel is pool2d else 8
-        image = np.random.default_rng(31).standard_normal((size, size)) + 1.0
+    @pytest.mark.parametrize("padded_first", [True, False])
+    def test_2d_contract_violation_updates_neither_plan(self, kernel, padded_first):
+        # the one violation left is a rogue plan, and it cannot be built;
+        # a call on the plans it would be paired with changes neither
         with pytest.raises(ContractViolationError):
-            kernel(*plans, image)
-        assert rogue.last_imag_max == -1.0 and clean.last_imag_max == -1.0
+            FPoolPlan(**self._rogue_fields())
+        padded, unpadded = make_plan(16, 8, odd_padding=True), make_plan(16, 8)
+        plans = (padded, unpadded) if padded_first else (unpadded, padded)
+        before = [{k: v.copy() for k, v in vars(p).items() if isinstance(v, np.ndarray)} for p in plans]
+        size = 16 if kernel is pool2d else 8
+        kernel(*plans, np.random.default_rng(31).standard_normal((size, size)) + 1.0)
+        for plan, arrays in zip(plans, before):
+            for name, array in arrays.items():
+                np.testing.assert_array_equal(getattr(plan, name), array)
+                assert not getattr(plan, name).flags.writeable
 
     @pytest.mark.parametrize("kernel", [pool2d, unpool2d])
-    @pytest.mark.parametrize("violating_first", [True, False])
-    def test_2d_stack_holds_each_image_to_its_own_norm(self, kernel, violating_first):
-        # rows through the rogue plan, columns through a clean one: the small
-        # image's edge residue breaks the contract at its own norm, though
-        # not at the norm of a stack that the large image dominates
-        rogue, clean = self._rogue_plan(), make_plan(16, 8, odd_padding=True)
-        rogue.last_imag_max = clean.last_imag_max = -1.0
-        size = rogue.n if kernel is pool2d else rogue.m
-        edge = rogue.edge_weights if kernel is pool2d else rogue.edge_signs
+    @pytest.mark.parametrize("small_first", [True, False])
+    def test_2d_stack_holds_each_image_to_its_own_norm(self, kernel, small_first):
+        # as for 1-D rows: a small image shaped like the edge term stacked
+        # with a large image, both exact at their own norms
+        plan = make_plan(16, 8, odd_padding=True)
+        matrix, inverse = _dense_plan_oracle(16, 8, odd_padding=True)
+        if kernel is pool2d:
+            size, edge, dense = plan.n, make_plan(16, 8).edge_weights, matrix
+        else:
+            size, edge, dense = plan.m, plan.edge_signs, inverse
         small = 1e-6 * np.outer(edge, np.ones(size)) / (np.linalg.norm(edge) * np.sqrt(size))
-        large = np.full((size, size), 1e9 / size)  # orthogonal to the edge vector
-        assert abs(edge @ large).max() <= 1e-6
-        images = [small, large] if violating_first else [large, small]
+        large = np.full((size, size), 1e9 / size)
+        images = [small, large] if small_first else [large, small]
         stack = np.stack(images)
         for batch in (stack, stack[None], np.stack(images * 2).reshape(2, 2, size, size)):
-            with pytest.raises(ContractViolationError):
-                kernel(rogue, clean, batch)
-            assert rogue.last_imag_max == -1.0 and clean.last_imag_max == -1.0
-        with pytest.raises(ContractViolationError):
-            kernel(rogue, clean, small)  # alone, too
-        kernel(rogue, clean, large)  # the clean image alone passes
-        assert rogue.last_imag_max <= 1e-9 * np.linalg.norm(large)
+            got, want = kernel(plan, plan, batch), dense @ batch @ dense.T
+            for index in np.ndindex(*batch.shape[:-2]):
+                tol = 1e-9 * np.linalg.norm(batch[index])
+                np.testing.assert_allclose(got[index], want[index].real, rtol=0, atol=tol)
+                assert np.max(np.abs(want[index].imag)) <= tol
 
     def test_contract_error_type_exists(self):
         assert issubclass(ContractViolationError, RuntimeError)
@@ -676,13 +707,9 @@ class TestDiagnostics:
         assert abs(np.fft.fft(out)[4]) <= 1e-9
 
 
-def _assert_real_part(got, want, scale, plans=()):
-    """``got`` is ``Re(want)`` and every plan recorded ``max |Im(want)|``."""
-    tol = 1e-12 * max(1.0, scale)
-    np.testing.assert_allclose(got, want.real, rtol=0, atol=tol)
-    imag_max = float(np.max(np.abs(want.imag), initial=0.0))
-    for plan in plans:
-        assert plan.last_imag_max == pytest.approx(imag_max, rel=0, abs=tol)
+def _assert_real_part(got, want, scale):
+    """``got`` is ``Re(want)``."""
+    np.testing.assert_allclose(got, want.real, rtol=0, atol=1e-12 * max(1.0, scale))
 
 
 class TestRealFormAgainstOracle:
@@ -699,8 +726,8 @@ class TestRealFormAgainstOracle:
         matrix, inverse = _dense_plan_oracle(n, m, pad)
         rng = np.random.default_rng(seed)
         x, y = rng.standard_normal(n), rng.standard_normal(m)
-        _assert_real_part(pool1d(plan, x), matrix @ x, np.linalg.norm(x), [plan])
-        _assert_real_part(unpool1d(plan, y), inverse @ y, np.linalg.norm(y), [plan])
+        _assert_real_part(pool1d(plan, x), matrix @ x, np.linalg.norm(x))
+        _assert_real_part(unpool1d(plan, y), inverse @ y, np.linalg.norm(y))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -724,7 +751,7 @@ class TestRealFormAgainstOracle:
         ):
             got = kernel(plan, data)
             scale = np.linalg.norm(data)
-            _assert_real_part(got, data @ dense.T, scale, [plan])
+            _assert_real_part(got, data @ dense.T, scale)
             tol = 1e-12 * max(1.0, scale)
             for index in np.ndindex(*batch):
                 np.testing.assert_allclose(got[index], kernel(plan, data[index]), rtol=0, atol=tol)
@@ -754,7 +781,7 @@ class TestRealFormAgainstOracle:
         ):
             got = kernel(pr, pc, data)
             scale = np.linalg.norm(data)
-            _assert_real_part(got, left @ data @ right.T, scale, [pr, pc])
+            _assert_real_part(got, left @ data @ right.T, scale)
             tol = 1e-12 * max(1.0, scale)
             for c in range(channels):  # a stack equals its channels one by one
                 np.testing.assert_allclose(got[c], kernel(pr, pc, data[c]), rtol=0, atol=tol)
@@ -819,10 +846,11 @@ class TestFastPath:
         np.testing.assert_allclose(pool1d(plan, x), fft_pool(x, m).real, atol=1e-9 * scale)
 
     def test_fast_path_keeps_the_diagnostics(self):
-        plan = make_plan(16, 8)  # asymmetric band, edge residue recorded
+        # asymmetric band: the plan's rank-1 edge term is the discarded part
+        plan = make_plan(16, 8)
         t = np.arange(16)
         x = np.cos(2 * np.pi * 4 * t / 16 + 0.7)
-        pool1d(plan, x)
-        imag_max = float(np.max(np.abs(fft_pool(x, 8).imag)))
-        assert imag_max > 1e-3
-        assert plan.last_imag_max == pytest.approx(imag_max, rel=0, abs=1e-9)
+        imag = fft_pool(x, 8).imag
+        assert np.max(np.abs(imag)) > 1e-3
+        np.testing.assert_allclose(pool1d(plan, x), fft_pool(x, 8).real, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(plan.edge_signs * (plan.edge_weights @ x), imag, rtol=0, atol=1e-9)

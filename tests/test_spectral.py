@@ -4,19 +4,12 @@ import cmath
 
 import numpy as np
 import pytest
+from fft_oracle import dft, idft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpool.spectral import (
-    circular_shift,
-    dft,
-    dft_matrix,
-    diagonal_shift,
-    idft,
-    low_high_split,
-    shift_phase,
-    signed_frequency,
-)
+from fpool.pooling import low_band_component, make_plan
+from fpool.spectral import circular_shift, dft_matrix, shift_phase, signed_frequency
 
 
 def _dft_loop(x):
@@ -118,13 +111,6 @@ def test_circular_shift_composes_additively(x, a, b):
     )
 
 
-def test_diagonal_shift_moves_both_axes():
-    img = np.arange(12.0).reshape(3, 4)
-    np.testing.assert_array_equal(diagonal_shift(img, 1), np.roll(img, (1, 1), axis=(0, 1)))
-    with pytest.raises(ValueError):
-        diagonal_shift(np.arange(3.0), 1)
-
-
 def test_signed_frequency_layout():
     np.testing.assert_array_equal(signed_frequency(8), [0, 1, 2, 3, -4, -3, -2, -1])
     np.testing.assert_array_equal(signed_frequency(7), [0, 1, 2, 3, -3, -2, -1])
@@ -161,24 +147,37 @@ def test_fractional_shift_phase_of_tone():
     assert np.max(np.abs(moved.imag)) < 1e-10
 
 
+def _band_split(x, mu):
+    """Split ``x`` at the symmetric band ``|f| <= mu - 1`` into ``(x_l, x_h)``.
+
+    The kept band of the odd-length plan ``n -> 2*mu - 1`` is that band, so
+    ``x_l`` is the plan's band component, real up to rounding.
+    """
+    band = low_band_component(x, make_plan(len(x), 2 * mu - 1))
+    assert np.max(np.abs(band.imag)) <= 1e-9 * max(1.0, np.linalg.norm(x))
+    return band.real, x - band.real
+
+
 class TestLowHighSplit:
+    """The kept band's split through ``low_band_component``, the one band definition."""
+
     def test_constant_is_all_low(self):
         x = np.full(12, 2.5)
-        x_l, x_h = low_high_split(x, 1)
+        x_l, x_h = _band_split(x, 1)
         np.testing.assert_allclose(x_l, x, atol=1e-12)
         np.testing.assert_allclose(x_h, 0, atol=1e-12)
 
     def test_tone_above_band_is_all_high(self):
         t = np.arange(16)
         x = np.cos(2 * np.pi * 5 * t / 16)
-        x_l, x_h = low_high_split(x, 4)  # keeps |frequency| <= 3
+        x_l, x_h = _band_split(x, 4)  # keeps |frequency| <= 3
         np.testing.assert_allclose(x_l, 0, atol=1e-9)
         np.testing.assert_allclose(x_h, x, atol=1e-9)
 
     def test_tone_inside_band_is_all_low(self):
         t = np.arange(16)
         x = np.sin(2 * np.pi * 3 * t / 16)
-        x_l, x_h = low_high_split(x, 4)
+        x_l, x_h = _band_split(x, 4)
         np.testing.assert_allclose(x_l, x, atol=1e-9)
         np.testing.assert_allclose(x_h, 0, atol=1e-9)
 
@@ -194,7 +193,7 @@ class TestLowHighSplit:
     def test_orthogonal_energy_split(self, x, data):
         n = len(x)
         mu = data.draw(st.integers(1, (n + 1) // 2))
-        x_l, x_h = low_high_split(x, mu)
+        x_l, x_h = _band_split(x, mu)
         np.testing.assert_allclose(x_l + x_h, x, atol=1e-9)
         scale = max(1.0, float(np.sum(x**2)))
         assert abs(np.dot(x_l, x_h)) <= 1e-9 * scale
@@ -206,8 +205,8 @@ class TestLowHighSplit:
         rng = np.random.default_rng(6)
         x = rng.standard_normal(20)
         for delta in (-7, 1, 4, 19):
-            a_l, _ = low_high_split(circular_shift(x, delta), 5)
-            b_l, _ = low_high_split(x, 5)
+            a_l, _ = _band_split(circular_shift(x, delta), 5)
+            b_l, _ = _band_split(x, 5)
             np.testing.assert_allclose(a_l, circular_shift(b_l, delta), atol=1e-9)
 
     def test_matches_the_dense_masked_transform(self):
@@ -215,23 +214,11 @@ class TestLowHighSplit:
         for n, mu in [(16, 4), (17, 9), (20, 10), (9, 1)]:
             x = rng.standard_normal(n)
             keep = np.abs(signed_frequency(n)) <= mu - 1
-            x_l, _ = low_high_split(x, mu)
+            x_l, _ = _band_split(x, mu)
             np.testing.assert_allclose(x_l, (idft(dft(x) * keep) / n).real, atol=1e-10)
 
     def test_uses_no_dense_transform(self):
         x = np.random.default_rng(8).standard_normal(1031)
         before = dft_matrix.cache_info()
-        low_high_split(x, 200)
+        _band_split(x, 200)
         assert dft_matrix.cache_info() == before
-
-    def test_mu_bounds(self):
-        x = np.zeros(10)
-        with pytest.raises(ValueError):
-            low_high_split(x, 0)
-        with pytest.raises(ValueError):
-            low_high_split(x, 6)
-        low_high_split(x, 5)  # ceil(10/2) is allowed
-
-    def test_rejects_complex_input(self):
-        with pytest.raises(ValueError):
-            low_high_split(np.zeros(4, dtype=complex), 1)
