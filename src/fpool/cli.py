@@ -15,6 +15,7 @@ contract violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -155,9 +156,10 @@ def cmd_demo1d(config: ExperimentConfig) -> int:
     return 0
 
 
-def _shift_range(config: ExperimentConfig, n: int) -> range:
-    lo = -n if config.shift_min is None else config.shift_min
-    hi = n if config.shift_max is None else config.shift_max
+def _shift_range(config: ExperimentConfig, bound: int) -> range:
+    """--shift-min..--shift-max, each defaulting to -bound and bound."""
+    lo = -bound if config.shift_min is None else config.shift_min
+    hi = bound if config.shift_max is None else config.shift_max
     if lo > hi:
         raise ValueError(f"--shift-min {lo} exceeds --shift-max {hi}")
     return range(lo, hi + 1)
@@ -184,10 +186,11 @@ def cmd_oddpad(config: ExperimentConfig) -> int:
     spectrum[m // 2] = 0.0
     spectrum[n - m // 2] = 0.0
     x_edge_free = np.real(np.fft.ifft(spectrum))
+    unpadded = make_plan(n, m, False)
     cases = [
         ("padded", make_plan(n, m, True), x),
-        ("unpadded", make_plan(n, m, False), x),
-        ("unpadded_edge_zeroed", make_plan(n, m, False), x_edge_free),
+        ("unpadded", unpadded, x),
+        ("unpadded_edge_zeroed", unpadded, x_edge_free),
     ]
     rows = []
     for series, plan, signal in cases:
@@ -239,12 +242,8 @@ def cmd_pool_image(config: ExperimentConfig) -> int:
 
 def cmd_consistency(config: ExperimentConfig) -> int:
     """Toy-classifier predictions under diagonal shifts, plus the summary."""
-    lo = -7 if config.shift_min is None else config.shift_min
-    hi = 7 if config.shift_max is None else config.shift_max
-    if lo > hi:
-        raise ValueError(f"--shift-min {lo} exceeds --shift-max {hi}")
-    config.shift_min, config.shift_max = lo, hi
-    shifts = list(range(lo, hi + 1))
+    shifts = _shift_range(config, 7)
+    config.shift_min, config.shift_max = shifts.start, shifts.stop - 1
     labels, probs, designated = toy_classifier_predictions(
         config.seed,
         shifts,
@@ -270,10 +269,9 @@ def cmd_bench(config: ExperimentConfig) -> int:
     """Deterministic cost table of the pooling kernel against the FFT route.
 
     :func:`pool1d` costs one real m-by-n matrix-vector product per signal
-    (2nm flops) plus an n-term dot product for the discarded edge residue;
-    pooling through two transforms would cost about 5 n log2 n + 5 m log2 m
-    flops by the usual FFT estimate.  The kernel's measured wall time goes
-    to stderr so the CSV stays run-independent.
+    (2nm flops); pooling through two transforms would cost about
+    5 n log2 n + 5 m log2 m flops by the usual FFT estimate.  The kernel's
+    measured wall time goes to stderr so the CSV stays run-independent.
     """
     rows = []
     timings = []
@@ -297,49 +295,73 @@ def cmd_bench(config: ExperimentConfig) -> int:
     return 0
 
 
+# Every flag, keyed by the ExperimentConfig field it sets; the flag name is
+# the field name with dashes.  Unset flags take the field's default.
+_FLAGS = {
+    "input": dict(help="signal spec (impulse, tone:F, rand:S, smooth:S) or a .csv/.pgm/.ppm path"),
+    "output": dict(help="output file (default: stdout)"),
+    "n": dict(type=int, help="synthetic signal length or classifier size"),
+    "m": dict(type=int, help="pooled length (default: n / stride)"),
+    "m2": dict(type=int, help="second-stage length (default: m / 2)"),
+    "stride": dict(type=int),
+    "window": dict(type=int, help="baseline window (default: stride)"),
+    "shift": dict(type=int),
+    "shift_min": dict(type=int),
+    "shift_max": dict(type=int),
+    "odd_padding": dict(action=argparse.BooleanOptionalAction),
+    "padding": dict(choices=("circular", "zero")),
+    "seed": dict(type=int),
+    "pooling": dict(choices=POOLINGS),
+}
+
+# Per command: its help line, the only flags it accepts, and its defaults where
+# they differ from ExperimentConfig's.  A command reads every flag it accepts,
+# but for oddpad's --odd-padding: oddpad always sweeps both paddings, and the
+# flag stays so that recorded oddpad command lines still run.
+_USAGE = {
+    "demo1d": (
+        "both evaluation orders for every pooling at one shift",
+        "input output n m stride window odd_padding seed shift",
+        {},
+    ),
+    "oddpad": (
+        "equivalence error vs shift, with and without padding",
+        "input output n m stride odd_padding seed shift_min shift_max",
+        dict(n=16, stride=2),
+    ),
+    "transitivity": (
+        "stacked pooling segments and cascade verdicts",
+        "output n m m2 odd_padding seed",
+        dict(n=32, m=16, m2=8),
+    ),
+    "pool": (
+        "pool a PGM/PPM image by the stride factor",
+        "input output stride window odd_padding pooling",
+        {},
+    ),
+    "consistency": (
+        "toy classifier predictions under diagonal shifts",
+        "output n stride window odd_padding padding seed pooling shift_min shift_max",
+        dict(n=32, odd_padding=False),
+    ),
+    "bench": ("deterministic cost table; wall times on stderr", "output odd_padding seed", {}),
+}
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; flags must be spelled in full."""
     parser = argparse.ArgumentParser(
-        prog="fpool", description="Spectral downsampling experiments (CSV out)."
+        prog="fpool", description="Spectral downsampling experiments (CSV out).", allow_abbrev=False
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, shift_range=True):
-        p.add_argument("--input", help="signal spec (impulse, tone:F, rand:S, smooth:S) or a .csv/.pgm/.ppm path")
-        p.add_argument("--output", help="output file (default: stdout)")
-        p.add_argument("--n", type=int, default=512, help="synthetic signal length or classifier size")
-        p.add_argument("--m", type=int, help="pooled length (default: n / stride)")
-        p.add_argument("--stride", type=int, default=4)
-        p.add_argument("--window", type=int, help="baseline window (default: stride)")
-        p.add_argument("--odd-padding", dest="odd_padding", action=argparse.BooleanOptionalAction, default=True)
-        p.add_argument("--padding", choices=("circular", "zero"), default="circular")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--pooling", choices=POOLINGS, default="fpool")
-        if shift_range:
-            p.add_argument("--shift-min", dest="shift_min", type=int)
-            p.add_argument("--shift-max", dest="shift_max", type=int)
-
-    p = sub.add_parser("demo1d", help="both evaluation orders for every pooling at one shift")
-    common(p, shift_range=False)
-    p.add_argument("--shift", type=int, default=2)
-
-    p = sub.add_parser("oddpad", help="equivalence error vs shift, with and without padding")
-    common(p)
-    p.set_defaults(n=16, stride=2)
-
-    p = sub.add_parser("transitivity", help="stacked pooling segments and cascade verdicts")
-    common(p, shift_range=False)
-    p.add_argument("--m2", type=int, help="second-stage length (default: m / 2)")
-    p.set_defaults(n=32, m=16, m2=8)
-
-    p = sub.add_parser("pool", help="pool a PGM/PPM image by the stride factor")
-    common(p, shift_range=False)
-
-    p = sub.add_parser("consistency", help="toy classifier predictions under diagonal shifts")
-    common(p)
-    p.set_defaults(n=32, odd_padding=False)
-
-    p = sub.add_parser("bench", help="deterministic cost table; wall times on stderr")
-    common(p, shift_range=False)
+    for command, (help_line, flags, defaults) in _USAGE.items():
+        p = sub.add_parser(
+            command, help=help_line, allow_abbrev=False, argument_default=argparse.SUPPRESS
+        )
+        for field in flags.split():
+            p.add_argument("--" + field.replace("_", "-"), **_FLAGS[field])
+        p.set_defaults(**defaults)
     return parser
 
 
@@ -354,13 +376,11 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as e:  # argparse exits 2 on flag errors, 0 on --help
         return int(e.code or 0)
-    fields = set(ExperimentConfig.__dataclass_fields__)
-    config = ExperimentConfig(**{k: v for k, v in vars(args).items() if k in fields})
+    config = ExperimentConfig(**vars(args))
     try:
         if config.stride < 1:
             raise ValueError(f"--stride must be >= 1, got {config.stride}")

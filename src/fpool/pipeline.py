@@ -51,81 +51,58 @@ _PAD_MODES = {"circular": "wrap", "zero": "constant"}
 _SWEEP_CHUNK_DOUBLES = 4096
 
 
-def _check_padding(padding: str) -> None:
-    if padding not in _PAD_MODES:
-        raise ValueError(f"padding must be one of {tuple(_PAD_MODES)}, got {padding!r}")
-
-
 @dataclass(eq=False)
-class Conv1d:
-    """Stride-1 convolution over ``(..., c_in, n)`` features, centered taps;
-    only the trailing axis is padded, so leading axes are a batch."""
+class _Conv:
+    """Stride-1 convolution over ``(..., c_in) + spatial`` features with
+    centered taps; only the ``spatial`` trailing axes are padded, so leading
+    axes are a batch.  Subclasses fix the number of spatial axes."""
 
-    weights: np.ndarray  # (c_out, c_in, k)
+    weights: np.ndarray  # (c_out, c_in) + one kernel size per spatial axis
     padding: str = "circular"
     seed: int | None = None  # recorded when the weights came from a seeded init
+    spatial = 0
 
     def __post_init__(self):
-        _check_padding(self.padding)
+        if self.padding not in _PAD_MODES:
+            raise ValueError(f"padding must be one of {tuple(_PAD_MODES)}, got {self.padding!r}")
         self.weights = np.asarray(self.weights, dtype=float)
-        if self.weights.ndim != 3:
-            raise ValueError(f"conv1d weights must be (c_out, c_in, k), got {self.weights.shape}")
-
-    def out_shape(self, shape):
-        c_out, c_in, _ = self.weights.shape
-        if len(shape) != 2 or shape[0] != c_in:
-            raise ValueError(f"conv1d expects (c_in={c_in}, n) features, got {shape}")
-        return (c_out, shape[1])
-
-    def apply(self, x):
-        x = np.asarray(x, dtype=float)
-        c_out, _, k = self.weights.shape
-        off = k // 2
-        n = x.shape[-1]
-        widths = ((0, 0),) * (x.ndim - 1) + ((off, k - 1 - off),)
-        xp = np.pad(x, widths, mode=_PAD_MODES[self.padding])
-        out = np.zeros(x.shape[:-2] + (c_out, n))
-        for j in range(k):
-            out += np.einsum("oi,...in->...on", self.weights[:, :, j], xp[..., j : j + n])
-        return out
-
-
-@dataclass(eq=False)
-class Conv2d:
-    """Stride-1 convolution over ``(..., c_in, h, w)`` features, centered
-    taps; only the two trailing axes are padded, so leading axes are a batch."""
-
-    weights: np.ndarray  # (c_out, c_in, kh, kw)
-    padding: str = "circular"
-    seed: int | None = None
-
-    def __post_init__(self):
-        _check_padding(self.padding)
-        self.weights = np.asarray(self.weights, dtype=float)
-        if self.weights.ndim != 4:
+        if self.weights.ndim != 2 + self.spatial:
             raise ValueError(
-                f"conv2d weights must be (c_out, c_in, kh, kw), got {self.weights.shape}"
+                f"conv{self.spatial}d weights must be (c_out, c_in) plus {self.spatial} "
+                f"kernel axes, got {self.weights.shape}"
             )
 
     def out_shape(self, shape):
-        c_out, c_in, _, _ = self.weights.shape
-        if len(shape) != 3 or shape[0] != c_in:
-            raise ValueError(f"conv2d expects (c_in={c_in}, h, w) features, got {shape}")
-        return (c_out, shape[1], shape[2])
+        c_out, c_in = self.weights.shape[:2]
+        if len(shape) != 1 + self.spatial or shape[0] != c_in:
+            raise ValueError(f"conv{self.spatial}d expects (c_in={c_in}, *spatial), got {shape}")
+        return (c_out,) + tuple(shape[1:])
 
     def apply(self, x):
         x = np.asarray(x, dtype=float)
-        c_out, _, kh, kw = self.weights.shape
-        oh, ow = kh // 2, kw // 2
-        h, w = x.shape[-2:]
-        widths = ((0, 0),) * (x.ndim - 2) + ((oh, kh - 1 - oh), (ow, kw - 1 - ow))
-        xp = np.pad(x, widths, mode=_PAD_MODES[self.padding])
-        out = np.zeros(x.shape[:-3] + (c_out, h, w))
-        for a in range(kh):
-            for b in range(kw):
-                tap = xp[..., a : a + h, b : b + w]
-                out += np.einsum("oi,...ihw->...ohw", self.weights[:, :, a, b], tap)
+        kernel = self.weights.shape[2:]
+        size = x.shape[x.ndim - self.spatial :]
+        pads = tuple((k // 2, k - 1 - k // 2) for k in kernel)
+        xp = np.pad(x, ((0, 0),) * (x.ndim - self.spatial) + pads, mode=_PAD_MODES[self.padding])
+        axes = "xyz"[: self.spatial]
+        spec = f"oi,...i{axes}->...o{axes}"
+        out = np.zeros(x.shape[: x.ndim - self.spatial - 1] + (self.weights.shape[0],) + size)
+        for tap in np.ndindex(*kernel):
+            window = tuple(slice(t, t + s) for t, s in zip(tap, size))
+            out += np.einsum(spec, self.weights[(..., *tap)], xp[(..., *window)])
         return out
+
+
+class Conv1d(_Conv):
+    """Conv over ``(..., c_in, n)`` features, weights ``(c_out, c_in, k)``."""
+
+    spatial = 1
+
+
+class Conv2d(_Conv):
+    """Conv over ``(..., c_in, h, w)`` features, weights ``(c_out, c_in, kh, kw)``."""
+
+    spatial = 2
 
 
 @dataclass(frozen=True)

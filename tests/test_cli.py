@@ -3,8 +3,11 @@
 import contextlib
 import hashlib
 import io
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -91,6 +94,13 @@ class TestOddpad:
     def test_odd_m_is_rejected(self):
         proc = run_cli("oddpad", "--n", "15", "--m", "5", check=False)
         assert proc.returncode == 2
+
+    def test_unpadded_plan_is_built_once(self, tmp_path, monkeypatch):
+        built = []
+        real = cli.make_plan
+        monkeypatch.setattr(cli, "make_plan", lambda *args: built.append(args) or real(*args))
+        assert cli.main(["oddpad", "--n", "16", "--stride", "2", "--output", str(tmp_path / "o.csv")]) == 0
+        assert sorted(built) == [(16, 8, False), (16, 8, True)]
 
 
 class TestTransitivity:
@@ -221,6 +231,94 @@ class TestDeterminism:
         run_cli("transitivity", "--output", str(path))
         stdout = run_cli("transitivity").stdout
         assert path.read_text() == stdout.replace("# output=none", f"# output={path}")
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+class TestFlags:
+    # Each command's full set of flags, every one read by the command, but for
+    # oddpad's --[no-]odd-padding: oddpad always sweeps both paddings.
+    ACCEPTED = {
+        "demo1d": "--input --output --n --m --stride --window --odd-padding --no-odd-padding --seed --shift",
+        "oddpad": "--input --output --n --m --stride --odd-padding --no-odd-padding --seed --shift-min --shift-max",
+        "transitivity": "--output --n --m --m2 --odd-padding --no-odd-padding --seed",
+        "pool": "--input --output --stride --window --odd-padding --no-odd-padding --pooling",
+        "consistency": "--output --n --stride --window --odd-padding --no-odd-padding --padding "
+        "--seed --pooling --shift-min --shift-max",
+        "bench": "--output --odd-padding --no-odd-padding --seed",
+    }
+    VALUES = {"--input": "smooth:1", "--output": "out.csv", "--padding": "zero", "--pooling": "avg"}
+
+    def argv(self, command, flag):
+        if flag in ("--odd-padding", "--no-odd-padding"):
+            return [command, flag]
+        return [command, flag, self.VALUES.get(flag, "4")]
+
+    def test_each_command_accepts_exactly_its_flags(self):
+        every_flag = {flag for flags in self.ACCEPTED.values() for flag in flags.split()}
+        parser = cli._build_parser()
+        for command, flags in self.ACCEPTED.items():
+            for flag in sorted(every_flag):
+                if flag in flags.split():
+                    parser.parse_args(self.argv(command, flag))
+                else:
+                    with pytest.raises(SystemExit):
+                        parser.parse_args(self.argv(command, flag))
+
+    # Flags each command used to accept, echo in its header, and ignore.
+    IGNORED = [
+        ("demo1d", "--padding"), ("demo1d", "--pooling"),
+        ("oddpad", "--window"), ("oddpad", "--padding"), ("oddpad", "--pooling"),
+        ("transitivity", "--input"), ("transitivity", "--stride"), ("transitivity", "--window"),
+        ("transitivity", "--padding"), ("transitivity", "--pooling"),
+        ("pool", "--n"), ("pool", "--m"), ("pool", "--seed"), ("pool", "--padding"),
+        ("consistency", "--input"), ("consistency", "--m"),
+        ("bench", "--input"), ("bench", "--n"), ("bench", "--m"), ("bench", "--stride"),
+        ("bench", "--window"), ("bench", "--padding"), ("bench", "--pooling"),
+    ]
+
+    @pytest.mark.parametrize("command,flag", IGNORED, ids=[" ".join(pair) for pair in IGNORED])
+    def test_a_flag_the_command_does_not_read_is_a_config_error(self, tmp_path, command, flag):
+        src = tmp_path / "src.pgm"
+        write_netpbm(src, np.zeros((8, 8)))
+        out = tmp_path / ("out.pgm" if command == "pool" else "out.csv")
+        files = ["--input", str(src)] if command == "pool" else []
+        assert cli.main([command, flag, self.VALUES.get(flag, "2"), *files, "--output", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [("bench", "--n", "8"), ("oddpad", "--in", "smooth:1"), ("pool", "--out", "{out}")],
+        ids=" ".join,
+    )
+    def test_abbreviated_flags_are_config_errors(self, tmp_path, args):
+        src = tmp_path / "src.pgm"
+        write_netpbm(src, np.zeros((8, 8)))
+        out = tmp_path / ("out.pgm" if args[0] == "pool" else "out.csv")
+        argv = [a.format(out=out) for a in args]
+        files = ["--input", str(src)] if args[0] == "pool" else ["--output", str(out)]
+        assert cli.main([*argv, *files]) == 2
+        assert not out.exists()
+
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def readme_section(self):
+        text = README.read_text()
+        return text[text.index("## Command line") : text.index("### CSV schema")]
+
+    def test_readme_command_lines_parse(self):
+        block = re.search(r"```sh\n(.*?)```", self.readme_section(), re.S).group(1)
+        lines = [line for line in block.splitlines() if line.startswith("fpool ")]
+        assert {line.split()[1] for line in lines} == set(self.ACCEPTED)
+        for line in lines:
+            cli._build_parser().parse_args(shlex.split(line)[1:])
+
+    def test_readme_flag_table_lists_each_commands_flags(self):
+        rows = re.findall(r"^\| `(\w+)` \| (.*) \|$", self.readme_section(), re.M)
+        listed = {command: set(re.findall(r"--[\w-]+", flags)) for command, flags in rows}
+        assert listed == {command: set(flags.split()) for command, flags in self.ACCEPTED.items()}
 
 
 class TestExitCodes:
