@@ -204,12 +204,9 @@ def cmd_oddpad(config: ExperimentConfig) -> int:
 
 def cmd_transitivity(config: ExperimentConfig) -> int:
     """Per-segment equivalence sweeps for the two-stage pooling cascade."""
-    n = config.n
-    m = config.m if config.m is not None else n // 2
-    m2 = config.m2 if config.m2 is not None else m // 2
-    config.m, config.m2 = m, m2
+    sizes = (config.n, config.m, config.m2)
     rows = []
-    for segment, sweep in transitivity_report(config.seed, (n, m, m2), config.odd_padding):
+    for segment, sweep in transitivity_report(config.seed, sizes, config.odd_padding):
         rows.extend((shift, segment, float(err)) for shift, err in zip(sweep.shifts, sweep.errors))
         rows.append((0, f"{segment}/max_error", sweep.max_error))
         rows.append((0, f"{segment}/equivalent", 1.0 if sweep.all_exact else 0.0))
@@ -296,7 +293,8 @@ def cmd_bench(config: ExperimentConfig) -> int:
 
 
 # Every flag, keyed by the ExperimentConfig field it sets; the flag name is
-# the field name with dashes.  Unset flags take the field's default.
+# the field name with dashes.  Unset flags take the field's default, or the
+# command's own default, which then replaces the "(default: ...)" clause.
 _FLAGS = {
     "input": dict(help="signal spec (impulse, tone:F, rand:S, smooth:S) or a .csv/.pgm/.ppm path"),
     "output": dict(help="output file (default: stdout)"),
@@ -360,7 +358,11 @@ def _build_parser() -> argparse.ArgumentParser:
             command, help=help_line, allow_abbrev=False, argument_default=argparse.SUPPRESS
         )
         for field in flags.split():
-            p.add_argument("--" + field.replace("_", "-"), **_FLAGS[field])
+            spec = _FLAGS[field]
+            shared, clause, _ = spec.get("help", "").partition(" (default: ")
+            if clause and field in defaults:
+                spec = dict(spec, help=f"{shared} (default: {_fmt(defaults[field])})")
+            p.add_argument("--" + field.replace("_", "-"), **spec)
         p.set_defaults(**defaults)
     return parser
 

@@ -320,8 +320,8 @@ def _as_upsampler(upsampler, in_shape, out_shape):
     """Normalize the upsampler argument to a callable over ``(S, c) + spatial``
     batches of pipeline outputs.
 
-    ``None`` builds the direct plan (pair) of the composite factor, once per
-    sweep.
+    ``None`` takes the direct plan (pair) of the composite factor from
+    :func:`make_plan`, which returns the shared plan after the first build.
     """
     if _spatial_ndim(out_shape) != _spatial_ndim(in_shape):
         raise ValueError(

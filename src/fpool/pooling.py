@@ -31,10 +31,15 @@ conjugate-symmetric band must carry no edge weights, so a real-valued call
 on it never discards an imaginary part.  The build verifies the full round
 trip ``matrix @ inverse_matrix`` entrywise, in complex modulus, from the
 same pieces: real part ``(n/m) * (A @ A.T + (v @ v) * outer(u, u))`` and
-imaginary part ``(n/m) * (outer(u, A @ v) - outer(A @ v, u))``; the
-symmetric product ``A @ A.T``, O(n*m**2/2), dominates the build.  Keeping
-the lowest-frequency band is what makes the pair exactly shift-equivalent
-and anti-aliasing.
+imaginary part ``(n/m) * (outer(u, A @ v) - outer(A @ v, u))``.  The real
+part is symmetric and the imaginary part antisymmetric, so the modulus is
+symmetric: the check covers the upper triangle, a block of rows at a time,
+and holds no ``(m, m)`` array.  Its products, O(n*m**2/2), dominate a
+build.  A plan is a pure function of ``(n, m, odd_padding)``, so
+:func:`make_plan` builds each one once and hands every later caller the
+same shared plan, for as long as it stays within the plan cache's byte
+budget.  Keeping the lowest-frequency band is what makes the pair exactly
+shift-equivalent and anti-aliasing.
 
 For even ``m`` the band edge is asymmetric: the negative edge frequency is
 kept without its positive mirror, so pooled values pick up a small imaginary
@@ -49,6 +54,8 @@ from __future__ import annotations
 
 import math
 import numbers
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,6 +78,17 @@ __all__ = [
 
 # Shift-equivalence and round-trip identities are asserted at this scale.
 EXACTNESS_TOL = 1e-9
+
+# make_plan keeps the plans it has built while their arrays fit in this many
+# bytes, evicting the least recently used first.  It holds the working set
+# of a retention ablation over n <= 1024 at rates up to 1/2 (15 plans, 17 MB).
+PLAN_CACHE_BYTES = 32 * 2**20
+
+# Rows of the round-trip deviation the check forms at once: a block of
+# 32 x m doubles, instead of the whole m x m matrix.  Once the cache holds a
+# workload's plans, a cold build's scratch is what sets the process's peak
+# memory, so the block stays small; the products dominate the loop's cost.
+_CHECK_ROWS = 32
 
 
 class ContractViolationError(RuntimeError):
@@ -163,26 +181,85 @@ def kept_bins(n: int, m: int, odd_padding: bool = False) -> np.ndarray:
     return keep
 
 
+class _PlanCache:
+    """Plans by ``(n, m, odd_padding)``, least recently used first out, whose
+    ``real_part`` and ``edge_weights`` hold at most ``PLAN_CACHE_BYTES``."""
+
+    def __init__(self):
+        self._plans: OrderedDict[tuple[int, int, bool], FPoolPlan] = OrderedDict()
+        self._lock = threading.Lock()
+        self.nbytes = 0
+
+    def get(self, key) -> FPoolPlan | None:
+        with self._lock:
+            plan = self._plans.get(key)
+            if plan is not None:
+                self._plans.move_to_end(key)
+            return plan
+
+    def add(self, key, plan: FPoolPlan) -> FPoolPlan:
+        """Keep ``plan`` unless it alone exceeds the budget; return the cached
+        plan for ``key``, which is ``plan`` unless another thread built it first."""
+        size = _plan_nbytes(plan)
+        with self._lock:
+            if key in self._plans:
+                self._plans.move_to_end(key)
+                return self._plans[key]
+            if size > PLAN_CACHE_BYTES:
+                return plan
+            while self.nbytes + size > PLAN_CACHE_BYTES:
+                _, evicted = self._plans.popitem(last=False)
+                self.nbytes -= _plan_nbytes(evicted)
+            self._plans[key] = plan
+            self.nbytes += size
+            return plan
+
+
+def _plan_nbytes(plan: FPoolPlan) -> int:
+    return plan.real_part.nbytes + plan.edge_weights.nbytes
+
+
+_plan_cache = _PlanCache()
+
+
 def make_plan(n: int, m: int, odd_padding: bool = False) -> FPoolPlan:
-    """Build the pooling plan ``n -> m``.
+    """The pooling plan ``n -> m``, shared by every caller that asks for it.
 
     Parameters
     ----------
     n, m : int
         Input and output lengths, ``1 <= m <= n`` (a plan never upsamples).
-        Anything but an integer (a float, a bool) is a ``ValueError``.
+        Anything but an integer (a float, a bool) is a ``ValueError``, also
+        for a plan built before.
     odd_padding : bool
         Drop the unmatched edge frequency for even ``m`` (see module
         docstring).  No effect for odd ``m`` or ``m == n``.
 
+    Plans are immutable, so a plan is built once per process and later
+    calls with the same ``(n, m, bool(odd_padding))`` return the same
+    object, for as long as it stays in a cache of at most
+    ``PLAN_CACHE_BYTES`` of plan arrays, least recently used out first.  A
+    plan larger than that whole budget is built on every call, and a build
+    that fails its check raises and caches nothing.
+
     The plan comes from the closed form in the module docstring.  The kept
     bins round-trip exactly: ``matrix @ inverse_matrix`` is the identity on
-    the pooled domain (verified entrywise at build time: the complex modulus
-    of every entry's deviation is at most 1e-9).  Under odd padding it is instead the projection that
-    removes the pooled domain's own edge frequency, I - s s^T / m with
+    the pooled domain, verified entrywise when the plan is built: the
+    complex modulus of every entry's deviation is at most 1e-9, checked a
+    block of rows at a time.  Under odd padding it is instead the projection
+    that removes the pooled domain's own edge frequency, I - s s^T / m with
     s_k = (-1)^k, since that frequency was deliberately dropped.
     """
     n, m = _check_sizes(n, m)
+    key = (n, m, bool(odd_padding))
+    plan = _plan_cache.get(key)
+    if plan is None:
+        plan = _plan_cache.add(key, _build_plan(*key))
+    return plan
+
+
+def _build_plan(n: int, m: int, odd_padding: bool) -> FPoolPlan:
+    """Build and check the plan ``n -> m`` from valid sizes."""
     freqs = _kept_frequencies(n, m, odd_padding)
     period = math.lcm(n, m)
     indicator = np.zeros(period)
@@ -197,36 +274,48 @@ def make_plan(n: int, m: int, odd_padding: bool = False) -> FPoolPlan:
     edge = np.zeros(n)
     if m % 2 == 0 and m < n and not odd_padding:  # the unmatched edge frequency -m/2
         edge = np.sin((np.pi / n) * (m * np.arange(n) % (2 * n))) / n
-    plan = FPoolPlan(
-        n=n, m=m, odd_padding=bool(odd_padding), real_part=real_part, edge_weights=edge
-    )
+    plan = FPoolPlan(n=n, m=m, odd_padding=odd_padding, real_part=real_part, edge_weights=edge)
     _check_round_trip(plan, dropped_edge=freqs.size < m)
     return plan
 
 
-def _check_round_trip(plan: FPoolPlan, dropped_edge: bool) -> None:
+def _check_round_trip(plan: FPoolPlan, dropped_edge: bool) -> float:
     """Raise unless ``matrix @ inverse_matrix`` is, entry by entry, within
     ``EXACTNESS_TOL`` in modulus of the identity (of ``I - s s^T / m`` when
-    the pooled edge frequency was dropped), computed from the real pieces."""
+    the pooled edge frequency was dropped), computed from the real pieces;
+    return the largest modulus.
+
+    The deviation's modulus is symmetric, so only entries ``(i, j)`` with
+    ``j >= i0`` are formed for each block of rows ``i0 <= i < i0 + 32``: all
+    of the upper triangle, as ``A @ A.T`` (one triangle, mirrored) would.
+    """
     a, u, v = plan.real_part, plan.edge_signs, plan.edge_weights
-    uu, ratio = np.outer(u, u), plan.n / plan.m
-    expected = np.eye(plan.m)
-    if dropped_edge:
-        expected -= uu / plan.m
-    gram = a @ a.T  # one buffer and its transpose: a symmetric rank-k update
-    gram += (v @ v) * uu
-    gram *= ratio
-    imag = np.outer(u, a @ v)
-    imag = ratio * (imag - imag.T)
-    # squared modulus of each entry's deviation, in place: np.hypot costs 3x
-    gram -= expected
-    gram *= gram
-    imag *= imag
-    gram += imag
-    if np.max(gram) > EXACTNESS_TOL**2:
+    m, ratio, vv = plan.m, plan.n / plan.m, v @ v
+    av = a @ v
+    worst = 0.0
+    for i0 in range(0, m, _CHECK_ROWS):
+        rows = slice(i0, i0 + _CHECK_ROWS)
+        uu = np.outer(u[rows], u[i0:])
+        expected = np.eye(*uu.shape)  # entry (i, i) sits at (i - i0, i - i0)
+        if dropped_edge:
+            expected -= uu / m
+        dev = a[rows] @ a[i0:].T
+        dev += vv * uu
+        dev *= ratio
+        dev -= expected
+        imag = np.outer(u[rows], av[i0:])
+        imag -= np.outer(av[rows], u[i0:])
+        imag *= ratio
+        # squared modulus of each entry's deviation, in place: np.hypot costs 3x
+        dev *= dev
+        imag *= imag
+        dev += imag
+        worst = max(worst, float(dev.max()))
+    if worst > EXACTNESS_TOL**2:
         raise ContractViolationError(
             f"plan {plan.n}->{plan.m} round trip deviates from identity beyond {EXACTNESS_TOL}"
         )
+    return math.sqrt(worst)
 
 
 def _finite_norm(x: np.ndarray, name: str) -> float:

@@ -45,7 +45,6 @@ SIZES = {12: (3, 6), 16: (4, 5, 8), 17: (4, 8, 9), 64: (16, 17, 32), 512: (128, 
 SIGNALS_PER_N = 40
 
 _signals_cache = {}
-_plan_cache = {}
 
 
 def corpus_signals(n):
@@ -55,16 +54,9 @@ def corpus_signals(n):
     return _signals_cache[n]
 
 
-def plan(n, m, odd_padding=False):
-    key = (n, m, odd_padding)
-    if key not in _plan_cache:
-        _plan_cache[key] = make_plan(n, m, odd_padding)
-    return _plan_cache[key]
-
-
 def equivariant_plan(n, m):
     """The plan variant with a conjugate-symmetric band: odd m, or padded."""
-    return plan(n, m, odd_padding=m % 2 == 0)
+    return make_plan(n, m, odd_padding=m % 2 == 0)
 
 
 def _report(num, ok, detail):
@@ -146,7 +138,7 @@ def test_criterion_3_decomposition_and_dominance():
     for n, ms in SIZES.items():
         X = corpus_signals(n)
         for m in ms:
-            p = plan(n, m)  # the decomposition holds for the unpadded map too
+            p = make_plan(n, m)  # the decomposition holds for the unpadded map too
             stride = n // m
             kinds = BASELINE_KINDS if m * stride == n else ()
             for s in range(X.shape[1]):
@@ -178,7 +170,7 @@ def test_criterion_3_decomposition_and_dominance():
 def test_criterion_4_anti_aliasing_of_outside_tones():
     n, m = 16, 8
     t = np.arange(n)
-    p = plan(n, m)
+    p = make_plan(n, m)
     tones = {f: np.cos(2 * np.pi * f * t / n + 0.3) for f in (5, 6, 7)}
     fpool_leak = max(float(np.sum(pool1d(p, x) ** 2)) for x in tones.values())
     aliased = {}
@@ -199,7 +191,7 @@ def test_criterion_5_pipelines_and_the_cascade_counterexample():
     verdicts_ok = True
     for seed in range(10):
         rng = np.random.default_rng(1000 + seed)
-        p1 = plan(32, 8, odd_padding=True)
+        p1 = make_plan(32, 8, odd_padding=True)
         net1 = Pipeline(
             (random_conv1d(seed, 1, 3, 3), ReLU(), Pool1d(PoolingKind("fpool", 4), p1)), (1, 32)
         )
@@ -207,7 +199,7 @@ def test_criterion_5_pipelines_and_the_cascade_counterexample():
         scale1 = max(1.0, float(np.linalg.norm(x1)))
         for d in range(-32, 33):
             worst_1d = max(worst_1d, equivalence_error(net1, p1, d, x1) / scale1)
-        p2 = plan(16, 8, odd_padding=True)
+        p2 = make_plan(16, 8, odd_padding=True)
         net2 = Pipeline(
             (random_conv2d(seed, 1, 2, 3), ReLU(), Pool2d(PoolingKind("fpool", 2), p2, p2)),
             (1, 16, 16),
@@ -235,7 +227,7 @@ def test_criterion_5_pipelines_and_the_cascade_counterexample():
 
 def test_criterion_6_unpadded_error_sits_below_every_baseline():
     n, m = 16, 8
-    p = plan(n, m)  # unpadded, even m: not exactly equivalent
+    p = make_plan(n, m)  # unpadded, even m: not exactly equivalent
     rng = np.random.default_rng(42)
     shifts = range(-n, n + 1)
     cushion = 1e-9
@@ -297,7 +289,7 @@ def test_criterion_8_fast_path_and_2d_commutation():
         X = corpus_signals(n)
         for m in ms:
             for padded in (False, True) if m % 2 == 0 and m < n else (False,):
-                p = plan(n, m, padded)
+                p = make_plan(n, m, padded)
                 for s in range(X.shape[1]):
                     x = X[:, s]
                     scale = max(1.0, float(np.linalg.norm(x)))
@@ -317,7 +309,7 @@ def test_criterion_8_fast_path_and_2d_commutation():
         ((16, 8), (17, 9), False),
         ((17, 4), (12, 3), False),
     ]:
-        pr, pc = plan(h, mh, padded), plan(w, mw, padded)
+        pr, pc = make_plan(h, mh, padded), make_plan(w, mw, padded)
         img = rng.standard_normal((3, h, w))
         rows_then_cols = pool2d(pr, pc, img)
         cols_then_rows = pool2d(pc, pr, img.swapaxes(1, 2)).swapaxes(1, 2)

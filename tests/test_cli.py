@@ -113,6 +113,16 @@ class TestTransitivity:
         assert verdict("cascade_pool_pool/direct_inverse") == 1.0
         assert csv_values(out, "cascade_pool_relu_pool/direct_inverse/max_error")[0] > 1e-6
 
+    def test_help_states_the_commands_own_defaults(self, capsys):
+        assert cli.main(["transitivity", "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "pooled length (default: 16)" in text
+        assert "second-stage length (default: 8)" in text
+        assert "n / stride" not in text and "m / 2" not in text
+        # a command that keeps the shared defaults keeps their wording
+        assert cli.main(["oddpad", "--help"]) == 0
+        assert "pooled length (default: n / stride)" in " ".join(capsys.readouterr().out.split())
+
 
 class TestPoolImage:
     def test_stride_one_round_trip_is_byte_identical(self, tmp_path):

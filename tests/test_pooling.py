@@ -7,6 +7,7 @@ under test.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,9 @@ from fft_oracle import fft_pool, fft_unpool
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fpool import pooling
 from fpool.baselines import PoolingKind, pool_baseline
+from fpool.metrics import retention_ablation
 from fpool.pooling import (
     ContractViolationError,
     FPoolPlan,
@@ -225,6 +228,166 @@ class TestMakePlan:
                 _check_round_trip(plan, dropped_edge=False)
         else:
             _check_round_trip(plan, dropped_edge=False)
+
+    @pytest.mark.parametrize("m", [1, 2, 63, 64, 65, 129])
+    def test_round_trip_check_sees_every_row(self, m):
+        # the check forms blocks of rows of the upper triangle: perturb the
+        # first and last rows and each row next to a block boundary
+        n, block = 2 * m + 1, pooling._CHECK_ROWS
+        base = make_plan(n, m)
+        a, v = base.real_part, base.edge_weights
+        rows = {0, m - 1} | {r for b in range(block, m, block) for r in (b - 1, b)}
+        # A @ inverse = I, and v is orthogonal to the rows of A
+        inverse = np.linalg.pinv(a)
+        for row in sorted(rows):
+            real = a.copy()
+            real[row, (row * n) // m] += 1e-7
+            plan = FPoolPlan(n=n, m=m, odd_padding=False, real_part=real, edge_weights=v)
+            with pytest.raises(ContractViolationError):
+                _check_round_trip(plan, dropped_edge=False)
+            # nudged so that only round-trip entries (row, k) and (k, row) move,
+            # by 2e-9 (4e-9 on the diagonal): the diagonal, both neighbours
+            # across a block boundary, and the mirror corner
+            for k in {k for k in (row - 1, row, row + 1, m - 1 - row) if 0 <= k < m}:
+                real = a.copy()
+                real[row] += (2e-9 * m / n) * inverse[:, k]
+                plan = FPoolPlan(n=n, m=m, odd_padding=False, real_part=real, edge_weights=v)
+                with pytest.raises(ContractViolationError):
+                    _check_round_trip(plan, dropped_edge=False)
+
+    @pytest.mark.parametrize(
+        "n,m,pad",
+        [
+            (200, 130, False), (200, 130, True), (130, 129, True),
+            (96, 64, True), (300, 129, False), (1, 1, False),
+        ],
+    )
+    def test_round_trip_check_reports_the_dense_worst_deviation(self, n, m, pad):
+        plan = make_plan(n, m, pad)
+        a, u, v = plan.real_part, plan.edge_signs, plan.edge_weights
+        dropped = pad and m % 2 == 0 and m < n
+        expected = np.eye(m) - (np.outer(u, u) / m if dropped else 0.0)
+        worst = _check_round_trip(plan, dropped)
+        # the whole (m, m) deviation from the same real pieces, in one product
+        ratio = n / m
+        real = ratio * (a @ a.T + (v @ v) * np.outer(u, u)) - expected
+        imag = ratio * (np.outer(u, a @ v) - np.outer(a @ v, u))
+        assert abs(worst - np.sqrt(np.max(real**2 + imag**2))) <= 1e-15
+        # the complex product rounds its own way: the two worst entries agree
+        # to a few units in the last place of 1
+        dense = np.max(np.abs(plan.matrix @ plan.inverse_matrix - expected))
+        assert abs(worst - dense) <= 16 * np.finfo(float).eps
+
+
+@pytest.fixture
+def plan_cache(monkeypatch):
+    """An empty plan cache in place of the process-wide one."""
+    cache = pooling._PlanCache()
+    monkeypatch.setattr(pooling, "_plan_cache", cache)
+    return cache
+
+
+def _counted_builds(monkeypatch):
+    built = []
+    build = pooling._build_plan
+    monkeypatch.setattr(pooling, "_build_plan", lambda *key: built.append(key) or build(*key))
+    return built
+
+
+class TestPlanCache:
+    def test_repeated_key_returns_the_same_plan(self, plan_cache):
+        plan = make_plan(16, 4, 1)
+        assert plan.odd_padding is True
+        assert make_plan(16, 4, True) is plan
+        assert make_plan(np.int64(16), 4, odd_padding=True) is plan
+        assert make_plan(16, np.int64(4), np.True_) is plan
+        assert make_plan(16, 4) is not plan and make_plan(16, 4).odd_padding is False
+
+    @pytest.mark.parametrize(
+        "n,m", [(16.0, 4), (16, 4.0), (np.float64(16), 4), ("16", 4), (True, 1)]
+    )
+    def test_invalid_sizes_raise_after_a_hit(self, plan_cache, n, m):
+        # 16.0 == 16 and True == 1 as dict keys: each bad pair would hit
+        make_plan(16, 4)
+        make_plan(1, 1)
+        with pytest.raises(ValueError, match="must be an integer"):
+            make_plan(n, m)
+
+    def test_budget_bounds_the_bytes_and_evicts_the_least_recently_used(
+        self, plan_cache, monkeypatch
+    ):
+        keys = [(64, 32, False), (64, 32, True), (64, 16, False), (64, 16, True)]
+        sizes = [8 * m * n + 8 * n for n, m, _ in keys]
+        monkeypatch.setattr(pooling, "PLAN_CACHE_BYTES", sum(sizes[:3]))
+        plans = {}
+        for key in keys[:3]:
+            plans[key] = make_plan(*key)
+            assert plan_cache.nbytes <= pooling.PLAN_CACHE_BYTES
+        assert plan_cache.nbytes == sum(sizes[:3])
+        assert make_plan(*keys[0]) is plans[keys[0]]  # now the most recently used
+        built = _counted_builds(monkeypatch)
+        plans[keys[3]] = make_plan(*keys[3])
+        # keys[1] was the least recently used: it alone makes room
+        assert plan_cache.nbytes == sizes[0] + sizes[2] + sizes[3] <= pooling.PLAN_CACHE_BYTES
+        for key in (keys[0], keys[2], keys[3]):
+            assert make_plan(*key) is plans[key]
+        assert built == [keys[3]]
+        assert make_plan(*keys[1]) is not plans[keys[1]]
+        assert built == [keys[3], keys[1]] and plan_cache.nbytes <= pooling.PLAN_CACHE_BYTES
+
+    def test_plan_larger_than_the_budget_is_returned_but_not_kept(self, plan_cache, monkeypatch):
+        monkeypatch.setattr(pooling, "PLAN_CACHE_BYTES", 1000)
+        small = make_plan(8, 4)  # 8 * 4 * 8 + 8 * 8 = 320 bytes
+        large = make_plan(64, 32)
+        assert (large.n, large.m) == (64, 32)
+        assert plan_cache.nbytes == 320
+        assert make_plan(64, 32) is not large
+        assert make_plan(8, 4) is small
+
+    def test_failed_build_is_not_kept(self, plan_cache, monkeypatch):
+        def fail(plan, dropped_edge):
+            raise ContractViolationError("forced")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(pooling, "_check_round_trip", fail)
+            with pytest.raises(ContractViolationError, match="forced"):
+                make_plan(16, 8)
+        assert plan_cache.nbytes == 0
+        built = _counted_builds(monkeypatch)
+        plan = make_plan(16, 8)
+        assert make_plan(16, 8) is plan and built == [(16, 8, False)]
+
+    def test_cached_plan_arrays_refuse_writes(self, plan_cache):
+        plan = make_plan(16, 8)
+        assert make_plan(16, 8) is plan
+        for array in (plan.real_part, plan.edge_weights, plan.edge_signs):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            plan.real_part = np.zeros((8, 16))
+
+    def test_cold_build_holds_no_m_by_m_array(self, plan_cache):
+        # the round-trip check forms 64-row blocks: the peak stays within
+        # the plan itself plus 2 MB, where a whole 512 x 512 deviation,
+        # with its temporaries, takes 10 MB more
+        tracemalloc.start()
+        try:
+            plan = make_plan(1024, 512)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < plan.real_part.nbytes + 2e6
+
+    def test_second_retention_pass_builds_no_plan(self, plan_cache, monkeypatch):
+        # the retention workload's 15 (n, m) keys, 17 MB of plans, fit the budget
+        rng = np.random.default_rng(17)
+        corpus = [rng.standard_normal(n) for n in (384, 512, 640, 768, 1024)]
+        rates = (0.125, 0.25, 0.5)
+        built = _counted_builds(monkeypatch)
+        first = retention_ablation(rates, corpus)
+        assert len(built) == len(set(built)) == 15
+        assert retention_ablation(rates, corpus) == first
+        assert len(built) == 15
 
 
 class TestPool1d:
