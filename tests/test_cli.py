@@ -163,6 +163,36 @@ class TestPoolImage:
         assert cli.main(["pool", "--input", str(src), "--output", str(dst), "--stride", "2"]) == 0
         assert built == plans
 
+    @staticmethod
+    def _source(magic):
+        """Seeded 24x20 input bytes, built here rather than by ``write_netpbm``;
+        the P2 raster mixes tabs, CR/LF and a comment between samples."""
+        rng = np.random.default_rng({"P2": 11, "P5": 12, "P6": 13}[magic])
+        pixels = rng.integers(0, 256, size=(24, 20, 3) if magic == "P6" else (24, 20))
+        if magic != "P2":
+            return f"{magic}\n20 24\n255\n".encode() + pixels.astype(np.uint8).tobytes()
+        rows = [b"\t".join(b"%d" % v for v in row) for row in pixels.tolist()]
+        return b"P2 # seeded\n20\t24\r\n255\n" + b"\r\n".join(rows[:12]) + b" # half\n" + b" \n ".join(rows[12:])
+
+    # sha256 of the files written, recorded before the P2 reader and writer
+    # became bulk operations.  A digest that changes means a change altered
+    # an output byte: fix the code, never re-record the digest.
+    POOLED = {
+        ("P2", "2"): "c02d5333c3f7bd3fa75562245c6c610023a8dba1f4913b2ff7f787a07c22a603",
+        ("P2", "1"): "ac7dc4aa717dc92fb766be4fbfde9c065aa743c9fbf57372bcf70f671c8e8964",
+        ("P5", "2"): "e1b4b59e3c4f9ca1d1f2e3a372787b54550416f343dbe9e1af57ba03bea8db77",
+        ("P5", "1"): "3b380c71575cc50444e8ea107e4dbb06f973788484abc9b17bb1b63eb9699e98",
+        ("P6", "2"): "17e863a1479a56ee376beb08311029987fd24dafba8ba1f72e808f06188519d5",
+        ("P6", "1"): "e0c53e08bdfb754dae37c27e8e8f4eba16c4e349498950bbfa25d364f0d3f141",
+    }
+
+    @pytest.mark.parametrize("magic,stride", sorted(POOLED))
+    def test_pooled_file_matches_the_recorded_digest(self, tmp_path, magic, stride):
+        src, dst = tmp_path / "src.pnm", tmp_path / "dst.pnm"
+        src.write_bytes(self._source(magic))
+        assert cli.main(["pool", "--input", str(src), "--output", str(dst), "--stride", stride]) == 0
+        assert hashlib.sha256(dst.read_bytes()).hexdigest() == self.POOLED[magic, stride]
+
     def test_missing_output_flag_is_a_config_error(self, tmp_path):
         src = tmp_path / "src.pgm"
         write_netpbm(src, np.zeros((4, 4)))
@@ -371,6 +401,20 @@ class TestExitCodes:
 
     def test_missing_input_file_is_an_io_error(self):
         assert run_cli("demo1d", "--input", "missing.csv", check=False).returncode == 3
+
+    # a sample beyond int64 used to escape the reader as OverflowError
+    @pytest.mark.parametrize("raster", [b"-5\n", b"99999999999999999999\n"])
+    def test_malformed_p2_samples_are_io_errors(self, tmp_path, raster):
+        src = tmp_path / "bad.pgm"
+        src.write_bytes(b"P2\n1 1\n255\n" + raster)
+        assert cli.main(["pool", "--input", str(src), "--output", str(tmp_path / "o.pgm"), "--stride", "1"]) == 3
+
+    def test_non_finite_pooled_image_is_an_io_error(self, tmp_path, monkeypatch):
+        src, dst = tmp_path / "src.pgm", tmp_path / "dst.pgm"
+        write_netpbm(src, np.zeros((4, 4)))
+        monkeypatch.setattr(cli, "pool2d", lambda plan_r, plan_c, x: np.full((1, 2, 2), np.nan))
+        assert cli.main(["pool", "--input", str(src), "--output", str(dst), "--stride", "2"]) == 3
+        assert not dst.exists()
 
     def test_contract_violations_exit_4(self, monkeypatch):
         def boom(config):
