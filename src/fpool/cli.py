@@ -76,12 +76,17 @@ def _header(config: ExperimentConfig) -> str:
 
 
 def _emit_csv(config: ExperimentConfig, rows, stream) -> None:
-    stream.write(_header(config))
-    stream.write("shift,series,value\n")
+    """Write the whole CSV in one call, so a bad series name writes nothing."""
+    lines = [_header(config), "shift,series,value\n"]
     for shift, series, value in rows:
         if "," in series:
             raise ValueError(f"series name {series!r} would break the CSV")
-        stream.write(f"{_fmt(shift)},{series},{_fmt(value)}\n")
+        # the common row, formatted as _fmt would; bool and numpy scalars go through _fmt
+        if type(shift) is int and type(value) is float:
+            lines.append(f"{shift},{series},{value!r}\n")
+        else:
+            lines.append(f"{_fmt(shift)},{series},{_fmt(value)}\n")
+    stream.write("".join(lines))
 
 
 def _write_rows(config: ExperimentConfig, rows) -> None:
@@ -143,10 +148,8 @@ def cmd_demo1d(config: ExperimentConfig) -> int:
         first = circular_shift(unpool1d(plan, pooled), delta)
         second = unpool1d(plan, pooled_shifted)
         gap = float(np.max(np.abs(first - second)))
-        for j in range(n):
-            rows.append((j, f"{kind}/pool_up_shift", float(first[j])))
-        for j in range(n):
-            rows.append((j, f"{kind}/shift_pool_up", float(second[j])))
+        rows.extend((j, f"{kind}/pool_up_shift", v) for j, v in enumerate(first.tolist()))
+        rows.extend((j, f"{kind}/shift_pool_up", v) for j, v in enumerate(second.tolist()))
         rows.append((delta, f"{kind}/gap", gap))
         if kind == "fpool" and plan.symmetric_band and gap > EXACTNESS_TOL * max(1.0, float(np.linalg.norm(x))):
             raise ContractViolationError(
@@ -196,7 +199,7 @@ def cmd_oddpad(config: ExperimentConfig) -> int:
     for series, plan, signal in cases:
         net = Pipeline((Pool1d(PoolingKind("fpool", config.stride), plan),), (1, n))
         sweep = shift_sweep(net, plan, shifts, signal.reshape(1, n))
-        rows.extend((shift, series, float(err)) for shift, err in zip(sweep.shifts, sweep.errors))
+        rows.extend((shift, series, err) for shift, err in zip(sweep.shifts, sweep.errors))
         rows.append((0, f"{series}/max_error", sweep.max_error))
     _write_rows(config, rows)
     return 0
@@ -207,7 +210,7 @@ def cmd_transitivity(config: ExperimentConfig) -> int:
     sizes = (config.n, config.m, config.m2)
     rows = []
     for segment, sweep in transitivity_report(config.seed, sizes, config.odd_padding):
-        rows.extend((shift, segment, float(err)) for shift, err in zip(sweep.shifts, sweep.errors))
+        rows.extend((shift, segment, err) for shift, err in zip(sweep.shifts, sweep.errors))
         rows.append((0, f"{segment}/max_error", sweep.max_error))
         rows.append((0, f"{segment}/equivalent", 1.0 if sweep.all_exact else 0.0))
     _write_rows(config, rows)

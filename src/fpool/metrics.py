@@ -61,9 +61,11 @@ def shift_sweep(pipeline: Pipeline, upsampler, shifts, x) -> SweepResult:
 
     The sweep runs as one batch: the reference is processed and upsampled
     once, the shifted inputs are built by one index gather, and the
-    pipeline and the upsampler each run once per chunk of shifts.  So a
-    callable upsampler receives pipeline outputs with a leading sample axis,
-    ``(S, c) + spatial``, and must return ``(S, c') + input spatial``.
+    pipeline and the upsampler each run once per chunk of distinct cyclic
+    starts (``d`` and ``d - n`` share one).  So a callable upsampler
+    receives pipeline outputs with a leading sample axis, ``(S, c) +
+    spatial``, at most one sample per distinct start plus the reference,
+    and must return ``(S, c') + input spatial``.
 
     Shifts must stay within one full period of the input's trailing axis;
     anything larger only repeats an earlier column and usually signals a

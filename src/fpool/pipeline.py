@@ -10,7 +10,9 @@ commuting with cyclic shifts once its output is carried back to input
 resolution by an upsampler.  It evaluates a set of shifts as one batch:
 the unshifted reference is processed once, one index gather builds the
 shifted inputs, and one forward and one upsampling run per chunk of shifts,
-with at most 4,096 doubles in any stage array of a chunk.
+with at most 4,096 doubles in any stage array of a chunk.  Shifts are
+cyclic, so ``d`` and ``d - n`` share one start and each distinct start is
+evaluated once.
 """
 
 from __future__ import annotations
@@ -356,7 +358,9 @@ def _sweep_errors(pipeline: Pipeline, upsampler, deltas, x) -> np.ndarray:
     shifted by gathering; the shifted inputs run through the pipeline and the
     upsampler as batches of samples, a chunk at a time, so that no stage
     array of a chunk holds more than ``_SWEEP_CHUNK_DOUBLES`` doubles (a
-    chunk is one sample when a sample alone holds more).
+    chunk is one sample when a sample alone holds more).  Each distinct
+    cyclic start runs once, since ``d`` and ``d - n`` gather the same rows;
+    the errors come back in the order and number of ``deltas``.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != pipeline.input_shape:
@@ -368,18 +372,22 @@ def _sweep_errors(pipeline: Pipeline, upsampler, deltas, x) -> np.ndarray:
     reference = reference[0]
     largest = max(math.prod(shape) for shape in pipeline.stage_shapes + (reference.shape,))
     chunk = max(1, _SWEEP_CHUNK_DOUBLES // largest)
-    starts = (-deltas % np.array(x.shape[1:])).T  # rolling by d starts a window at -d
+    # rolling by d starts a window at -d mod n, so d and d - n share one start
+    period = x.shape[1:]
+    flat = np.ravel_multi_index(tuple((-deltas % period).T), period)
+    distinct, inverse = np.unique(flat, return_inverse=True)
+    starts = np.unravel_index(distinct, period)
     inputs, references = _shift_windows(x), _shift_windows(reference)
-    errors = np.empty(len(deltas))
-    for start in range(0, len(deltas), chunk):
-        index = tuple(starts[:, start : start + chunk])
+    errors = np.empty(len(distinct))
+    for start in range(0, len(distinct), chunk):
+        index = tuple(axis[start : start + chunk] for axis in starts)
         size = len(index[0])
         out = up(pipeline.forward(inputs[index])[-1])
         if np.shape(out) != (size,) + reference.shape:
             raise ValueError(f"upsampler returned {np.shape(out)} for {size} samples")
         gap = np.abs(references[index] - out)
         errors[start : start + size] = gap.reshape(size, -1).max(axis=1)
-    return errors
+    return errors[inverse]
 
 
 def equivalence_error(pipeline: Pipeline, upsampler, delta_t, x) -> float:
@@ -393,7 +401,8 @@ def equivalence_error(pipeline: Pipeline, upsampler, delta_t, x) -> float:
     upsampler, is exactly shift-equivalent at this shift.  This is the
     one-shift case of :func:`fpool.metrics.shift_sweep`, so a callable
     upsampler receives pipeline outputs with a leading sample axis,
-    ``(S, c) + spatial``, and must return ``(S, c') + input spatial``.
+    ``(S, c) + spatial``, and must return ``(S, c') + input spatial``: one
+    sample for the reference and one for the shift.
     """
     deltas = np.array([_shift_vector(delta_t, _spatial_ndim(pipeline.input_shape))])
     return float(_sweep_errors(pipeline, upsampler, deltas, x)[0])

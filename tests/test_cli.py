@@ -51,6 +51,57 @@ class TestSchema:
             assert len(row.split(",")) == 3
 
 
+def _streamed_row(shift, series, value) -> str:
+    """One data row as the row-at-a-time CSV writer formatted it, through a
+    copy of its value formatter: the oracle for the bulk writer."""
+
+    def fmt(v):
+        if isinstance(v, bool):
+            return "true" if v else "false"
+        if v is None:
+            return "none"
+        if isinstance(v, (int, np.integer)):
+            return str(int(v))
+        if isinstance(v, (float, np.floating)):
+            return repr(float(v))
+        return str(v)
+
+    return f"{fmt(shift)},{series},{fmt(value)}\n"
+
+
+class TestCsvRows:
+    # an int shift with a float value takes the bulk writer's direct format;
+    # every other pairing goes through the general formatter
+    ROWS = [
+        (3, "plain", 0.1),
+        (-7, "plain", -2.5e-300),
+        (0, "plain", float("nan")),
+        (True, "bool_shift", 1.0),
+        (None, "none_shift", 0.5),
+        (np.int64(4), "np_int_shift", 0.25),
+        (np.float64(2.0), "np_float_shift", 3.0),
+        (5, "np_float_value", np.float64(0.1)),
+        (6, "np_int_value", np.int64(-9)),
+        (7, "bool_value", False),
+        (8, "int_value", 12),
+        (9, "none_value", None),
+    ]
+
+    def test_rows_format_as_the_row_at_a_time_writer_did(self):
+        config = cli.ExperimentConfig(command="oddpad")
+        out = io.StringIO()
+        cli._emit_csv(config, self.ROWS, out)
+        rows = "".join(_streamed_row(*row) for row in self.ROWS)
+        assert out.getvalue() == cli._header(config) + "shift,series,value\n" + rows
+
+    def test_a_comma_in_a_series_name_writes_nothing(self):
+        out = io.StringIO()
+        rows = [(0, "fine", 1.0), (1, "a,b", 2.0)]
+        with pytest.raises(ValueError, match="series name"):
+            cli._emit_csv(cli.ExperimentConfig(command="oddpad"), rows, out)
+        assert out.getvalue() == ""
+
+
 class TestDemo1d:
     def test_impulse_curves_are_identical_for_frequency_pooling(self):
         out = run_cli("demo1d", "--input", "impulse", "--n", "64").stdout

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -108,12 +109,37 @@ def _nearest(stride, spatial):
     return up
 
 
+def _cyclic_shifts(rng, sizes, distinct, zero):
+    """A shuffled list of scalar shifts in ``[-n, n]`` with exactly
+    ``distinct`` cyclic starts (fewer if there are not that many), where
+    ``n`` is the trailing size.  A start may appear through several of its
+    twins (``d`` and ``d - n``; ``0``, ``n`` and ``-n``) and through plain
+    repeats; ``zero`` forces the start of ``0`` in."""
+    n = sizes[-1]
+    twins = {}  # each cyclic start with the shifts in [-n, n] that roll to it
+    for d in range(-n, n + 1):
+        twins.setdefault(tuple(-d % s for s in sizes), []).append(d)
+    picked = [(0,) * len(sizes)] if zero else []
+    others = [start for start in twins if start not in picked]
+    count = min(distinct, len(twins)) - len(picked)
+    picked += [others[i] for i in rng.choice(len(others), count, replace=False)]
+    shifts = []
+    for start in picked:
+        members = twins[start]
+        shifts += rng.choice(members, rng.integers(1, len(members) + 1), replace=False).tolist()
+    shifts += rng.choice(shifts, rng.integers(0, 4)).tolist()
+    return rng.permutation(shifts).tolist()
+
+
 @st.composite
-def _sweep_cases(draw, spatial, kind):
+def _sweep_cases(draw, spatial, kind, sizes=None):
     """A pipeline over ``spatial`` axes (optional conv, optional ReLU, one
-    pooling of ``kind``), its upsampler, an input and a shift list around a
-    chunk boundary."""
-    sizes = draw(st.sampled_from([(16,), (24,), (32,)] if spatial == 1 else [(8, 8), (8, 12), (16, 16)]))
+    pooling of ``kind``), its upsampler, an input, a shift list whose number
+    of distinct cyclic starts lies around a chunk boundary, and the stage
+    budget in doubles that sets the chunk.  Small budgets put the boundary
+    within reach of short signals."""
+    if sizes is None:
+        sizes = draw(st.sampled_from([(16,), (24,), (32,)] if spatial == 1 else [(8, 8), (8, 12), (16, 16)]))
     stride = draw(st.sampled_from([s for s in (1, 2, 4) if all(n % s == 0 for n in sizes)]))
     pad = draw(st.booleans())
     seed = draw(st.integers(0, 2**32 - 1))
@@ -137,11 +163,13 @@ def _sweep_cases(draw, spatial, kind):
     else:
         upsampler = None if choice == "none" else _nearest(stride, spatial)
     largest = max(math.prod(s) for s in net.stage_shapes + ((channels,) + sizes,))
-    chunk = max(1, pipeline._SWEEP_CHUNK_DOUBLES // largest)
-    length = draw(st.sampled_from([1, max(1, chunk - 1), chunk, chunk + 1, 2 * chunk + 1]))
+    samples = draw(st.sampled_from([None, 1, 2, 3, 5]))  # per chunk; None keeps the budget
+    doubles = pipeline._SWEEP_CHUNK_DOUBLES if samples is None else samples * largest
+    chunk = max(1, doubles // largest)
+    distinct = draw(st.sampled_from([1, max(1, chunk - 1), chunk, chunk + 1, 2 * chunk + 1]))
     rng = np.random.default_rng(seed)
-    shifts = rng.integers(-sizes[-1], sizes[-1] + 1, size=length).tolist()
-    return net, upsampler, shifts, rng.standard_normal((c_in,) + sizes)
+    shifts = _cyclic_shifts(rng, sizes, distinct, draw(st.booleans()))
+    return net, upsampler, shifts, rng.standard_normal((c_in,) + sizes), doubles
 
 
 class TestBatchedSweep:
@@ -152,13 +180,32 @@ class TestBatchedSweep:
     @settings(max_examples=10, deadline=None)
     @given(data=st.data())
     def test_errors_equal_the_per_shift_loop_bit_for_bit(self, spatial, kind, data):
-        net, upsampler, shifts, x = data.draw(_sweep_cases(spatial, kind))
-        result = shift_sweep(net, upsampler, shifts, x)
+        net, upsampler, shifts, x, doubles = data.draw(_sweep_cases(spatial, kind))
+        with mock.patch.object(pipeline, "_SWEEP_CHUNK_DOUBLES", doubles):
+            result = shift_sweep(net, upsampler, shifts, x)
+            # the caller's order and length, whatever the order of evaluation
+            assert result.shifts == tuple(shifts)
+            assert shift_sweep(net, upsampler, shifts[::-1], x).errors == result.errors[::-1]
+            # equivalence_error is the one-shift case, including (dy, dx) for images
+            delta = shifts[0] if x.ndim == 2 else (shifts[0], -shifts[-1])
+            single = equivalence_error(net, upsampler, delta, x)
         assert result.errors == per_shift_errors(net, upsampler, shifts, x)
-        # equivalence_error is the one-shift case, including (dy, dx) for images
-        delta = shifts[0] if x.ndim == 2 else (shifts[0], -shifts[-1])
-        single = equivalence_error(net, upsampler, delta, x)
         assert (single,) == per_shift_errors(net, upsampler, [delta], x)
+
+    @pytest.mark.parametrize("kind", ("fpool",) + BASELINE_KINDS)
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_pair_shifts_where_one_axis_wraps(self, kind, data):
+        # on a non-square image (dy - 8, dx) and (dy, dx - 12) wrap one axis
+        # each and share the start of (dy, dx)
+        net, upsampler, _, x, doubles = data.draw(_sweep_cases(2, kind, sizes=(8, 12)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        pairs = [(int(dy), int(dx)) for dy, dx in zip(rng.integers(0, 9, 6), rng.integers(0, 13, 6))]
+        deltas = [d for dy, dx in pairs for d in ((dy, dx), (dy - 8, dx), (dy, dx - 12))]
+        deltas = [tuple(d) for d in rng.permutation(deltas).tolist()]
+        with mock.patch.object(pipeline, "_SWEEP_CHUNK_DOUBLES", doubles):
+            errors = pipeline._sweep_errors(net, upsampler, np.array(deltas), x)
+        assert tuple(errors.tolist()) == per_shift_errors(net, upsampler, deltas, x)
 
     @pytest.mark.parametrize("shape", [(1, 24), (1, 16, 16)])
     def test_strided_baseline_output_upsamples_as_one_sample_does(self, shape):
@@ -188,9 +235,22 @@ class TestBatchedSweep:
         up = lambda y: upsampled.append(y.shape) or unpool1d(plan, y)
         shift_sweep(net, up, range(-256, 257), x)
         chunk = pipeline._SWEEP_CHUNK_DOUBLES // 256
-        assert chunk == 16  # 513 shifts: 32 full chunks and one of a single shift
-        assert forwards == [(1, 1, 256)] + [(16, 1, 256)] * 32 + [(1, 1, 256)]
+        assert chunk == 16  # 513 shifts, 256 distinct starts: 16 full chunks
+        assert forwards == [(1, 1, 256)] + [(16, 1, 256)] * 16
         assert upsampled == [(s, 1, 64) for s, _, _ in forwards]
+
+    @pytest.mark.parametrize("shape", [(1, 16), (2, 8, 8)])
+    def test_each_distinct_cyclic_start_runs_once(self, shape):
+        # d and d - n roll to the same array: n + 1 sample rows reach the
+        # upsampler for 2n + 1 shifts, the reference included
+        n, spatial = shape[-1], len(shape) - 1
+        net = Pipeline(((Pool1d if spatial == 1 else Pool2d)(PoolingKind("max", 2)),), shape)
+        rows, nearest = [], _nearest(2, spatial)
+        up = lambda y: rows.append(len(y)) or nearest(y)
+        x = np.random.default_rng(7).standard_normal(shape)
+        errors = shift_sweep(net, up, range(-n, n + 1), x).errors
+        assert sum(rows) == n + 1
+        assert all(errors[d + n] == errors[d] for d in range(n + 1))
 
     def test_memory_peak_does_not_grow_with_the_sweep(self):
         # unchunked, each stage array of this sweep would hold 513 x 256
