@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .baselines import BASELINE_KINDS, PoolingKind, pool_baseline, pool_baseline_2d
+from .baselines import BASELINE_KINDS, PoolingKind, pool_baseline_2d
 from .netpbm import read_netpbm, write_netpbm
 from .pipeline import Pipeline, Pool1d, toy_classifier_predictions
 from .pooling import EXACTNESS_TOL, ContractViolationError, make_plan, pool1d, pool2d, unpool1d
@@ -136,15 +136,10 @@ def cmd_demo1d(config: ExperimentConfig) -> int:
     delta = config.shift
     rows = []
     for kind in POOLINGS:
-        if kind == "fpool":
-            pooled = pool1d(plan, x)
-            pooled_shifted = pool1d(plan, circular_shift(x, delta))
-        else:
-            pk = PoolingKind(kind, stride, config.window)
-            if m != n // stride:
-                raise ValueError(f"--m {m} conflicts with stride {stride} for {kind} pooling")
-            pooled = pool_baseline(pk, x)
-            pooled_shifted = pool_baseline(pk, circular_shift(x, delta))
+        pool = Pool1d(PoolingKind(kind, stride, config.window), plan)
+        if pool.out_shape((1, n)) != (1, m):
+            raise ValueError(f"--m {m} conflicts with stride {stride} for {kind} pooling")
+        pooled, pooled_shifted = pool.apply(x), pool.apply(circular_shift(x, delta))
         first = circular_shift(unpool1d(plan, pooled), delta)
         second = unpool1d(plan, pooled_shifted)
         gap = float(np.max(np.abs(first - second)))

@@ -18,7 +18,7 @@ evaluated once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -117,69 +117,59 @@ class ReLU:
 
 
 @dataclass(eq=False)
-class Pool1d:
-    """Pooling along the trailing axis of ``(c, n)`` features; the channels
-    are :func:`pool1d`'s leading batch axis, so a forward is one call."""
+class _Pool:
+    """Pooling of ``(c,) + spatial`` features over the spatial trailing axes,
+    so leading axes (channels, samples) are one batch and a forward is one
+    call.  Frequency pooling takes one plan per spatial axis; a baseline kind
+    ignores any plan it is given.  Subclasses name the plan fields, one per
+    spatial axis, in axis order."""
 
     kind: PoolingKind
-    plan: FPoolPlan | None = None
+
+    @property
+    def plans(self) -> tuple:
+        return tuple(getattr(self, f.name) for f in fields(self)[1:])
 
     def __post_init__(self):
-        if self.kind.kind == "fpool" and self.plan is None:
-            raise ValueError("frequency pooling needs a plan")
-
-    def out_shape(self, shape):
-        if len(shape) != 2:
-            raise ValueError(f"pool1d expects (c, n) features, got {shape}")
-        c, n = shape
-        if self.plan is not None:
-            if n != self.plan.n:
-                raise ValueError(f"plan pools length {self.plan.n}, features have {n}")
-            return (c, self.plan.m)
-        if n % self.kind.stride:
-            raise ValueError(f"stride {self.kind.stride} must divide the length {n}")
-        return (c, n // self.kind.stride)
-
-    def apply(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.kind.kind == "fpool":
-            return pool1d(self.plan, x)
-        return pool_baseline(self.kind, x)
-
-
-@dataclass(eq=False)
-class Pool2d:
-    """Separable pooling of ``(c, h, w)`` features over the two trailing
-    axes, so leading axes (channels, samples) are one batch."""
-
-    kind: PoolingKind
-    plan_rows: FPoolPlan | None = None
-    plan_cols: FPoolPlan | None = None
-
-    def __post_init__(self):
-        if self.kind.kind == "fpool" and (self.plan_rows is None or self.plan_cols is None):
+        if self.kind.kind == "fpool" and None in self.plans:
             raise ValueError("frequency pooling needs a plan per axis")
 
     def out_shape(self, shape):
-        if len(shape) != 3:
-            raise ValueError(f"pool2d expects (c, h, w) features, got {shape}")
-        c, h, w = shape
+        plans = self.plans
+        if len(shape) != 1 + len(plans):
+            raise ValueError(f"pool{len(plans)}d expects (c,) + {len(plans)}-D features, got {shape}")
+        size = tuple(shape[1:])
         if self.kind.kind == "fpool":
-            if (h, w) != (self.plan_rows.n, self.plan_cols.n):
-                raise ValueError(
-                    f"plans pool ({self.plan_rows.n}, {self.plan_cols.n}), features have {(h, w)}"
-                )
-            return (c, self.plan_rows.m, self.plan_cols.m)
+            if size != tuple(plan.n for plan in plans):
+                raise ValueError(f"plans pool {tuple(plan.n for plan in plans)}, features have {size}")
+            return (shape[0],) + tuple(plan.m for plan in plans)
         s = self.kind.stride
-        if h % s or w % s:
-            raise ValueError(f"stride {s} must divide the image size {(h, w)}")
-        return (c, h // s, w // s)
+        if any(k % s for k in size):
+            raise ValueError(f"stride {s} must divide the feature size {size}")
+        return (shape[0],) + tuple(k // s for k in size)
 
     def apply(self, x):
         x = np.asarray(x, dtype=float)
+        plans = self.plans
         if self.kind.kind == "fpool":
-            return pool2d(self.plan_rows, self.plan_cols, x)
-        return pool_baseline_2d(self.kind, x)
+            return (pool1d if len(plans) == 1 else pool2d)(*plans, x)
+        return (pool_baseline if len(plans) == 1 else pool_baseline_2d)(self.kind, x)
+
+
+@dataclass(eq=False)
+class Pool1d(_Pool):
+    """Pooling along the trailing axis of ``(c, n)`` features."""
+
+    plan: FPoolPlan | None = None
+
+
+@dataclass(eq=False)
+class Pool2d(_Pool):
+    """Separable pooling of ``(c, h, w)`` features, rows through ``plan_rows``
+    and columns through ``plan_cols``."""
+
+    plan_rows: FPoolPlan | None = None
+    plan_cols: FPoolPlan | None = None
 
 
 @dataclass(frozen=True)
@@ -271,15 +261,18 @@ class Pipeline:
 
 
 def random_conv1d(seed: int, c_in: int, c_out: int, kernel: int, padding: str = "circular") -> Conv1d:
-    rng = np.random.default_rng(seed)
-    w = rng.standard_normal((c_out, c_in, kernel)) / np.sqrt(c_in * kernel)
-    return Conv1d(w, padding=padding, seed=seed)
+    return _random_conv(Conv1d, seed, c_in, c_out, kernel, padding)
 
 
 def random_conv2d(seed: int, c_in: int, c_out: int, kernel: int, padding: str = "circular") -> Conv2d:
+    return _random_conv(Conv2d, seed, c_in, c_out, kernel, padding)
+
+
+def _random_conv(cls, seed, c_in, c_out, kernel, padding):
+    """Seeded weights ``(c_out, c_in) + (kernel,) * spatial``, scaled by the fan-in."""
     rng = np.random.default_rng(seed)
-    w = rng.standard_normal((c_out, c_in, kernel, kernel)) / np.sqrt(c_in * kernel * kernel)
-    return Conv2d(w, padding=padding, seed=seed)
+    w = rng.standard_normal((c_out, c_in) + (kernel,) * cls.spatial) / np.sqrt(c_in * kernel**cls.spatial)
+    return cls(w, padding=padding, seed=seed)
 
 
 def random_linear(seed: int, c_in: int, c_out: int) -> Linear:
@@ -322,29 +315,29 @@ def _as_upsampler(upsampler, in_shape, out_shape):
     """Normalize the upsampler argument to a callable over ``(S, c) + spatial``
     batches of pipeline outputs.
 
-    ``None`` takes the direct plan (pair) of the composite factor from
-    :func:`make_plan`, which returns the shared plan after the first build.
+    A plan or a plan pair is read as one plan per spatial axis.  ``None``
+    takes the direct plan of the composite factor on each axis from
+    :func:`make_plan`, asked once per distinct axis; it returns the shared
+    plan after the first build.
     """
-    if _spatial_ndim(out_shape) != _spatial_ndim(in_shape):
+    spatial = _spatial_ndim(in_shape)
+    if _spatial_ndim(out_shape) != spatial:
         raise ValueError(
             f"pipeline output {out_shape} carries no resolution to compare at {in_shape}"
         )
-    spatial = _spatial_ndim(in_shape)
     if upsampler is None:
-        if spatial == 1:
-            upsampler = make_plan(in_shape[1], out_shape[1])
-        else:
-            rows = make_plan(in_shape[1], out_shape[1])
-            same = (in_shape[2], out_shape[2]) == (in_shape[1], out_shape[1])
-            upsampler = (rows, rows if same else make_plan(in_shape[2], out_shape[2]))
-    if isinstance(upsampler, FPoolPlan):
-        if spatial != 1:
-            raise ValueError("a single plan upsamples 1-D features; pass a plan pair for images")
-        plan = upsampler
-        return lambda y: unpool1d(plan, y)
+        axes = tuple(zip(in_shape[1:], out_shape[1:]))
+        built = {axis: make_plan(*axis) for axis in dict.fromkeys(axes)}
+        upsampler = tuple(built[axis] for axis in axes)
+    elif isinstance(upsampler, FPoolPlan):
+        upsampler = (upsampler,)
     if isinstance(upsampler, tuple) and all(isinstance(p, FPoolPlan) for p in upsampler):
-        pr, pc = upsampler
-        return lambda y: unpool2d(pr, pc, y)
+        if len(upsampler) != spatial:
+            raise ValueError(
+                f"{len(upsampler)} plan(s) given for features with {spatial} spatial axes; "
+                "pass one plan per axis"
+            )
+        return lambda y: (unpool1d if spatial == 1 else unpool2d)(*upsampler, y)
     if callable(upsampler):
         return upsampler
     raise ValueError(f"cannot interpret upsampler {upsampler!r}")
@@ -410,11 +403,8 @@ def equivalence_error(pipeline: Pipeline, upsampler, delta_t, x) -> float:
 
 def _toy_pipeline(seed, size, channels, classes, kernel, stride, pooling, conv_padding, odd_padding, window):
     conv = random_conv2d(seed, 1, channels, kernel, padding=conv_padding)
-    if pooling == "fpool":
-        plan = make_plan(size, size // stride, odd_padding)
-        pool = Pool2d(PoolingKind("fpool", stride), plan, plan)
-    else:
-        pool = Pool2d(PoolingKind(pooling, stride, window))
+    plan = make_plan(size, size // stride, odd_padding) if pooling == "fpool" else None
+    pool = Pool2d(PoolingKind(pooling, stride, window), plan, plan)
     head = random_linear(seed + 1, channels, classes)
     return Pipeline((conv, ReLU(), pool, GlobalAvg(), head, Softmax()), (1, size, size))
 

@@ -128,7 +128,7 @@ class FPoolPlan:
     @property
     def symmetric_band(self) -> bool:
         """True when the kept band is conjugate-symmetric (exactly real round trip)."""
-        return self.m % 2 == 1 or self.odd_padding or self.m == self.n
+        return self.odd_padding or not _unmatched_edge(self.n, self.m)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -161,14 +161,20 @@ def _check_sizes(n, m) -> tuple[int, int]:
     return n, m
 
 
+def _unmatched_edge(n: int, m: int) -> bool:
+    """True when the lowest ``m`` of ``n`` bins keep the edge frequency
+    ``-m/2`` without its mirror: even ``m < n`` (for ``m == n`` the edge bin
+    is its own mirror).  Odd padding drops that frequency."""
+    return m % 2 == 0 and m < n
+
+
 def _kept_frequencies(n: int, m: int, odd_padding: bool) -> np.ndarray:
     """Signed frequencies the plan ``n -> m`` keeps, ordered by pooled bin.
 
     Frequency ``f`` sits in source bin ``f % n`` and pooled bin ``f % m``.
     """
     freqs = signed_frequency(m)
-    # For m == n the edge bin is its own mirror, nothing is unmatched.
-    if odd_padding and m % 2 == 0 and m < n:
+    if odd_padding and _unmatched_edge(n, m):
         freqs = freqs[freqs != -(m // 2)]
     return freqs
 
@@ -272,10 +278,11 @@ def _build_plan(n: int, m: int, odd_padding: bool) -> FPoolPlan:
     step = doubled.itemsize
     real_part = as_strided(doubled[period:], shape=(m, n), strides=(a * step, -b * step)).copy()
     edge = np.zeros(n)
-    if m % 2 == 0 and m < n and not odd_padding:  # the unmatched edge frequency -m/2
+    unmatched = _unmatched_edge(n, m)
+    if unmatched and not odd_padding:  # the edge frequency -m/2 is kept
         edge = np.sin((np.pi / n) * (m * np.arange(n) % (2 * n))) / n
     plan = FPoolPlan(n=n, m=m, odd_padding=odd_padding, real_part=real_part, edge_weights=edge)
-    _check_round_trip(plan, dropped_edge=freqs.size < m)
+    _check_round_trip(plan, dropped_edge=unmatched and odd_padding)
     return plan
 
 

@@ -88,6 +88,20 @@ class TestShiftSweep:
         assert sorted(built) == sorted(set(axes))
         assert result.errors == shift_sweep(net, direct, range(-5, 6), x).errors
 
+    @pytest.mark.parametrize(
+        "shape,plans", [((4, 8), (make_plan(6, 4), make_plan(8, 4, True))), ((1, 8, 8), make_plan(8, 4))]
+    )
+    def test_upsampler_plans_must_match_the_spatial_axes(self, shape, plans):
+        # one plan per spatial axis: a pair for 1-D features would pool the
+        # channel axis, a single plan for images would leave one axis pooled
+        kind = PoolingKind("avg", 2)
+        net = Pipeline(((Pool1d if len(shape) == 2 else Pool2d)(kind),), shape)
+        x = np.random.default_rng(6).standard_normal(shape)
+        with pytest.raises(ValueError, match="one plan per axis"):
+            equivalence_error(net, plans, 1, x)
+        with pytest.raises(ValueError, match="one plan per axis"):
+            shift_sweep(net, plans, range(-2, 3), x)
+
     def test_shifts_must_stay_within_one_period(self):
         net = Pipeline((Pool1d(PoolingKind("avg", 2)),), (1, 8))
         x = np.zeros((1, 8))

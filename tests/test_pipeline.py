@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fpool import pipeline
-from fpool.baselines import PoolingKind
+from fpool.baselines import ALL_KINDS, BASELINE_KINDS, PoolingKind
 from fpool.pipeline import (
     Conv1d,
     Conv2d,
@@ -196,6 +196,20 @@ class TestPipeline:
         )
         assert net.stage_shapes == ((1, 16), (3, 16), (3, 16), (3, 4), (3,))
         assert net.output_shape == (3,)
+
+    @pytest.mark.parametrize(
+        "kind,with_plans", [(k, True) for k in ALL_KINDS] + [(k, False) for k in BASELINE_KINDS]
+    )
+    @pytest.mark.parametrize("shape", [(2, 16), (2, 16, 12)])
+    def test_declared_shape_is_the_shape_forward_returns(self, kind, with_plans, shape):
+        # the plans pool by 4 and the kind by 2, so a layer that declared one
+        # and applied the other would disagree with itself
+        plans = tuple(make_plan(n, n // 4) for n in shape[1:]) if with_plans else ()
+        layer = (Pool1d if len(shape) == 2 else Pool2d)(PoolingKind(kind, 2), *plans)
+        net = Pipeline((layer,), shape)
+        x = np.random.default_rng(13).standard_normal(shape)
+        assert net.forward(x)[-1].shape == net.stage_shapes[-1]
+        assert net.forward(x[np.newaxis])[-1].shape == (1,) + net.stage_shapes[-1]
 
     def test_incompatible_layers_fail_at_construction(self):
         with pytest.raises(ValueError):
