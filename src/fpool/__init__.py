@@ -8,7 +8,7 @@ sweep metrics (`fpool.metrics`), and a CLI (`fpool.cli`) that reproduces the
 desk-scale experiments as deterministic CSV and netpbm artifacts.
 """
 
-from .baselines import PoolingKind, pool_baseline, pool_baseline_2d, replace_rule
+from .baselines import PoolingKind, pool_baseline, replace_rule
 from .metrics import (
     SweepResult,
     consistency_from_predictions,
@@ -45,7 +45,6 @@ __all__ = [
     "pool1d",
     "pool2d",
     "pool_baseline",
-    "pool_baseline_2d",
     "reconstruction_decomposition",
     "replace_rule",
     "retention_ablation",

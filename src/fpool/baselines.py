@@ -15,12 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .pooling import _require_integer
+
 __all__ = [
     "BASELINE_KINDS",
     "PoolingKind",
     "pool_avg",
     "pool_baseline",
-    "pool_baseline_2d",
     "pool_blur_stride",
     "pool_max",
     "pool_stride",
@@ -36,7 +37,9 @@ class PoolingKind:
     """Pooling selector: ``kind`` in {fpool, max, avg, stride, blur}.
 
     ``window`` is the max/avg window (default: the stride) and doubles as
-    the box width for blur fragments produced by :func:`replace_rule`.
+    the box width for blur fragments produced by :func:`replace_rule`.  A
+    stride or window that is not an integer (a float, a bool) is a
+    ``ValueError``.
     """
 
     kind: str
@@ -46,9 +49,9 @@ class PoolingKind:
     def __post_init__(self):
         if self.kind not in ALL_KINDS:
             raise ValueError(f"unknown pooling kind {self.kind!r}, expected one of {ALL_KINDS}")
-        if int(self.stride) < 1:
+        if _require_integer(self.stride, "stride") < 1:
             raise ValueError(f"stride must be >= 1, got {self.stride}")
-        if self.window is not None and int(self.window) < 1:
+        if self.window is not None and _require_integer(self.window, "window") < 1:
             raise ValueError(f"window must be >= 1, got {self.window}")
 
     @property
@@ -122,17 +125,6 @@ def pool_baseline(kind: PoolingKind, x) -> np.ndarray:
     if kind.kind == "blur":
         return pool_blur_stride(x, kind.stride, kind.window)
     raise ValueError(f"{kind.kind!r} is not a classical baseline; build a pooling plan instead")
-
-
-def pool_baseline_2d(kind: PoolingKind, image) -> np.ndarray:
-    """Separable 2-D baseline over images ``(..., h, w)``: pool the width
-    axis, then the height axis; leading axes are a batch."""
-    img = np.asarray(image, dtype=float)
-    if img.ndim < 2:
-        raise ValueError(f"image must be (..., h, w), got shape {img.shape}")
-    out = pool_baseline(kind, img)
-    out = np.swapaxes(pool_baseline(kind, np.swapaxes(out, -1, -2)), -1, -2)
-    return out
 
 
 def replace_rule(kind: PoolingKind) -> tuple[PoolingKind, ...]:

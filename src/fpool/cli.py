@@ -22,10 +22,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .baselines import BASELINE_KINDS, PoolingKind, pool_baseline_2d
+from .baselines import BASELINE_KINDS, PoolingKind
 from .netpbm import read_netpbm, write_netpbm
-from .pipeline import Pipeline, Pool1d, toy_classifier_predictions
-from .pooling import EXACTNESS_TOL, ContractViolationError, make_plan, pool1d, pool2d, unpool1d
+from .pipeline import Pipeline, Pool1d, Pool2d, toy_classifier_predictions
+from .pooling import EXACTNESS_TOL, ContractViolationError, make_plan, pool1d, unpool1d
 from .metrics import consistency_from_predictions, shift_sweep, transitivity_report
 from .signals import is_signal_spec, load_signal_column, make_signal
 from .spectral import circular_shift
@@ -218,17 +218,18 @@ def cmd_pool_image(config: ExperimentConfig) -> int:
         raise ValueError("pool needs --input pointing at a .pgm or .ppm file")
     if not config.output:
         raise ValueError("pool needs --output for the pooled image")
+    kind = PoolingKind(config.pooling, config.stride, config.window)
     pixels, maxval, magic = read_netpbm(config.input)
     planar = pixels[np.newaxis] if pixels.ndim == 2 else np.moveaxis(pixels, 2, 0)
     h, w = planar.shape[1:]
     config.n = h
-    if config.pooling == "fpool":
-        plan_r = make_plan(h, max(1, h // config.stride), config.odd_padding)
-        plan_c = plan_r if w == h else make_plan(w, max(1, w // config.stride), config.odd_padding)
-        pooled = pool2d(plan_r, plan_c, planar.astype(float))
-    else:
-        pk = PoolingKind(config.pooling, config.stride, config.window)
-        pooled = pool_baseline_2d(pk, planar.astype(float))
+    plans = (None, None)
+    if kind.kind == "fpool":  # a baseline pays for no plan
+        built = {
+            k: make_plan(k, max(1, k // kind.stride), config.odd_padding) for k in dict.fromkeys((h, w))
+        }
+        plans = (built[h], built[w])
+    pooled = Pool2d(kind, *plans).apply(planar)
     out = pooled[0] if pixels.ndim == 2 else np.moveaxis(pooled, 0, 2)
     write_netpbm(config.output, out, maxval=maxval, magic=magic)
     sys.stderr.write(_header(config))

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import PoolingKind
-from .pooling import EXACTNESS_TOL, make_plan, reconstruction_decomposition
+from .pooling import EXACTNESS_TOL, _require_integer, make_plan, reconstruction_decomposition
 from .pipeline import Pipeline, Pool1d, ReLU, _shift_vector, _spatial_ndim, _sweep_errors
 
 __all__ = [
@@ -67,13 +67,14 @@ def shift_sweep(pipeline: Pipeline, upsampler, shifts, x) -> SweepResult:
     spatial``, at most one sample per distinct start plus the reference,
     and must return ``(S, c') + input spatial``.
 
-    Shifts must stay within one full period of the input's trailing axis;
-    anything larger only repeats an earlier column and usually signals a
-    caller bug.
+    Shifts must be integers (a float or a bool is a ``ValueError``, not
+    truncated) and stay within one full period of the input's trailing
+    axis; anything larger only repeats an earlier column and usually
+    signals a caller bug.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
-    shifts = [int(d) for d in shifts]
+    shifts = [_require_integer(d, "shift") for d in shifts]
     if not shifts:
         raise ValueError("at least one shift is required")
     out_of_range = [d for d in shifts if not -n <= d <= n]

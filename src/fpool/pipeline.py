@@ -18,13 +18,13 @@ evaluated once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .baselines import PoolingKind, pool_baseline, pool_baseline_2d
-from .pooling import FPoolPlan, make_plan, pool1d, pool2d, unpool1d, unpool2d
+from .baselines import PoolingKind, pool_baseline
+from .pooling import FPoolPlan, _require_integer, make_plan, pool1d, pool2d, unpool1d, unpool2d
 
 __all__ = [
     "Conv1d",
@@ -121,14 +121,16 @@ class _Pool:
     """Pooling of ``(c,) + spatial`` features over the spatial trailing axes,
     so leading axes (channels, samples) are one batch and a forward is one
     call.  Frequency pooling takes one plan per spatial axis; a baseline kind
-    ignores any plan it is given.  Subclasses name the plan fields, one per
-    spatial axis, in axis order."""
+    ignores any plan it is given and pools one spatial axis at a time, the
+    width first.  Subclasses name the plan fields, one per spatial axis, in
+    axis order, in ``_plan_fields``."""
 
     kind: PoolingKind
+    _plan_fields = ()
 
     @property
     def plans(self) -> tuple:
-        return tuple(getattr(self, f.name) for f in fields(self)[1:])
+        return tuple([getattr(self, name) for name in self._plan_fields])
 
     def __post_init__(self):
         if self.kind.kind == "fpool" and None in self.plans:
@@ -149,11 +151,13 @@ class _Pool:
         return (shape[0],) + tuple(k // s for k in size)
 
     def apply(self, x):
-        x = np.asarray(x, dtype=float)
         plans = self.plans
         if self.kind.kind == "fpool":
             return (pool1d if len(plans) == 1 else pool2d)(*plans, x)
-        return (pool_baseline if len(plans) == 1 else pool_baseline_2d)(self.kind, x)
+        x = np.asarray(x, dtype=float)
+        for axis in range(-1, -1 - len(plans), -1):
+            x = pool_baseline(self.kind, x.swapaxes(axis, -1)).swapaxes(axis, -1)
+        return x
 
 
 @dataclass(eq=False)
@@ -161,6 +165,7 @@ class Pool1d(_Pool):
     """Pooling along the trailing axis of ``(c, n)`` features."""
 
     plan: FPoolPlan | None = None
+    _plan_fields = ("plan",)
 
 
 @dataclass(eq=False)
@@ -170,6 +175,7 @@ class Pool2d(_Pool):
 
     plan_rows: FPoolPlan | None = None
     plan_cols: FPoolPlan | None = None
+    _plan_fields = ("plan_rows", "plan_cols")
 
 
 @dataclass(frozen=True)
@@ -291,11 +297,11 @@ def _shift_vector(delta, spatial: int) -> tuple[int, ...]:
     if spatial == 1:
         if np.ndim(delta) != 0:
             raise ValueError("1-D features take a scalar shift")
-        return (int(delta),)
+        return (_require_integer(delta, "shift"),)
     if spatial == 2:
         if np.ndim(delta) == 0:
-            return (int(delta), int(delta))
-        dy, dx = (int(d) for d in delta)
+            return (_require_integer(delta, "shift"),) * 2
+        dy, dx = (_require_integer(d, "shift") for d in delta)
         return (dy, dx)
     raise ValueError(f"features must have 1 or 2 spatial axes, got {spatial}")
 
@@ -389,7 +395,7 @@ def equivalence_error(pipeline: Pipeline, upsampler, delta_t, x) -> float:
     The pipeline output is carried back to input resolution by ``upsampler``
     (a plan, a plan pair, None for the direct plan of the composite factor,
     or a callable), then the two evaluation orders are compared at the
-    given shift: a scalar for 1-D features, a scalar (diagonal) or
+    given integer shift: a scalar for 1-D features, a scalar (diagonal) or
     ``(dy, dx)`` for images.  Zero means the pipeline, seen through that
     upsampler, is exactly shift-equivalent at this shift.  This is the
     one-shift case of :func:`fpool.metrics.shift_sweep`, so a callable
@@ -429,7 +435,7 @@ def toy_classifier_predictions(
     probability rows, and the class predicted at zero shift (the designated
     class whose probability spread the consistency study reports).
     """
-    shifts = [int(d) for d in shifts]
+    shifts = [_require_integer(d, "shift") for d in shifts]
     if not shifts:
         raise ValueError("at least one shift is required")
     net = _toy_pipeline(

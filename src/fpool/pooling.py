@@ -146,12 +146,19 @@ class FPoolPlan:
         return out
 
 
+def _require_integer(value, name: str) -> int:
+    """``value`` as an ``int``; ``ValueError`` unless it is an integer (a
+    NumPy integer too), since a float would be truncated silently."""
+    if type(value) is int:  # a sweep checks every shift: skip the slow ABC check
+        return value
+    # bool is an Integral subclass, but True as a size or shift is a caller bug
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _check_sizes(n, m) -> tuple[int, int]:
-    for name, value in (("input length", n), ("output length", m)):
-        # bool is an Integral subclass, but True as a length is a caller bug
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    n, m = int(n), int(m)
+    n, m = _require_integer(n, "input length"), _require_integer(m, "output length")
     if n < 1:
         raise ValueError(f"input length must be >= 1, got {n}")
     if m < 1:
@@ -356,7 +363,7 @@ def pool1d(plan: FPoolPlan, x) -> np.ndarray:
     real part, and the edge residue ``u * (v @ x)`` is discarded.  NaN or
     infinite entries are a ``ValueError``, as in every pool/unpool call.
     """
-    return _apply_1d(plan, x, inverse=False)
+    return _apply((plan,), x, inverse=False)
 
 
 def unpool1d(plan: FPoolPlan, y) -> np.ndarray:
@@ -366,22 +373,7 @@ def unpool1d(plan: FPoolPlan, y) -> np.ndarray:
     plan's kept band (plus the conjugate mirror of the edge bin for
     unpadded even ``m``).
     """
-    return _apply_1d(plan, y, inverse=True)
-
-
-def _apply_1d(plan: FPoolPlan, x, inverse: bool) -> np.ndarray:
-    """``x @ A.T`` over the trailing axis, or ``(n/m) * x @ A`` when
-    upsampling: the real part of the complex map."""
-    mat = plan.real_part.T if inverse else plan.real_part
-    name = "y" if inverse else "x"
-    # numpy rounds a product with a one-row matrix by memory layout (BLAS
-    # for contiguous rows, a strided loop otherwise): on a C-contiguous
-    # copy, a row rounds alike alone and inside a batch
-    x = np.ascontiguousarray(x, dtype=float)
-    if x.ndim == 0 or x.shape[-1] != mat.shape[1]:
-        raise ValueError(f"{name} must be (..., {mat.shape[1]}), got shape {x.shape}")
-    _finite_norm(x, name)
-    return (plan.n / plan.m * x if inverse else x) @ mat.T
+    return _apply((plan,), y, inverse=True)
 
 
 def pool2d(plan_rows: FPoolPlan, plan_cols: FPoolPlan, image) -> np.ndarray:
@@ -393,42 +385,46 @@ def pool2d(plan_rows: FPoolPlan, plan_cols: FPoolPlan, image) -> np.ndarray:
     ``A_r @ image @ A_c.T`` minus the rank-1 product of the two edge terms.
     NaN or infinite entries are a ``ValueError``.
     """
-    return _apply_2d(plan_rows, plan_cols, image, inverse=False)
+    return _apply((plan_rows, plan_cols), image, inverse=False)
 
 
 def unpool2d(plan_rows: FPoolPlan, plan_cols: FPoolPlan, pooled) -> np.ndarray:
     """Inverse of :func:`pool2d` on the kept band (coupled upsampling)."""
-    return _apply_2d(plan_rows, plan_cols, pooled, inverse=True)
+    return _apply((plan_rows, plan_cols), pooled, inverse=True)
 
 
-def _axis_map(plan: FPoolPlan, inverse: bool):
-    """``(P, p, q)`` with the plan's pooling matrix equal to
-    ``P + 1j * outer(p, q)``, or with ``inverse`` its upsampling matrix
-    equal to ``(n/m) * (P + 1j * outer(p, q))``."""
+def _apply(plans: tuple, x, inverse: bool) -> np.ndarray:
+    """The real part of the complex map of one plan per trailing axis of
+    ``x``: pooling, or with ``inverse`` the coupled upsampling, which scales
+    by ``n/m`` per axis.  One plan gives ``x @ A.T``; two give
+    ``(A_r @ x) @ A_c.T`` less the real product of their edge terms
+    (``A.T`` in place of ``A`` when upsampling)."""
+    mats = [plan.real_part.T if inverse else plan.real_part for plan in plans]
+    sizes = tuple([mat.shape[1] for mat in mats])
+    name = "y" if inverse else "x"
+    # numpy rounds a product with a one-row matrix by memory layout (BLAS
+    # for contiguous rows, a strided loop otherwise): on a C-contiguous
+    # copy, a row or an image rounds alike alone and inside a batch
+    x = np.ascontiguousarray(x, dtype=float)
+    if x.shape[-len(sizes) :] != sizes:
+        raise ValueError(f"{name} must be (..., {', '.join(map(str, sizes))}), got shape {x.shape}")
+    _finite_norm(x, name)
     if inverse:
-        return plan.real_part.T, -plan.edge_weights, plan.edge_signs
-    return plan.real_part, plan.edge_signs, plan.edge_weights
-
-
-def _apply_2d(plan_rows, plan_cols, image, inverse: bool) -> np.ndarray:
-    left, p_r, q_r = _axis_map(plan_rows, inverse)
-    right, p_c, q_c = _axis_map(plan_cols, inverse)
-    img = np.asarray(image, dtype=float)
-    if img.ndim < 2 or img.shape[-2:] != (left.shape[1], right.shape[1]):
-        raise ValueError(
-            f"image must be (..., {left.shape[1]}, {right.shape[1]}), got {np.shape(image)}"
-        )
-    _finite_norm(img, "image")
-    scaled = img * (plan_rows.n / plan_rows.m * plan_cols.n / plan_cols.m) if inverse else img
-    out = left @ scaled @ right.T
-    # (P_r + i p_r q_r^T) X (P_c + i p_c q_c^T)^T: the product of the two
-    # edge terms is real, the rest of the edge terms imaginary and discarded
-    if plan_rows.edge_weights.any() and plan_cols.edge_weights.any():
-        # numpy rounds a matrix-vector product by memory layout (BLAS for
-        # contiguous rows, a strided loop otherwise), so the edge term uses a
-        # C-contiguous copy: an image rounds alike alone and inside a batch
-        flat = np.ascontiguousarray(scaled)
-        out -= (q_r @ flat @ q_c)[..., None, None] * np.outer(p_r, p_c)
+        scale = 1.0
+        for plan in plans:
+            scale = scale * plan.n / plan.m
+        x = scale * x
+    if len(plans) == 1:
+        return x @ mats[0].T
+    out = (mats[0] @ x) @ mats[1].T
+    if plans[0].edge_weights.any() and plans[1].edge_weights.any():
+        # (A_r + i u_r v_r^T) X (A_c + i u_c v_c^T)^T: the product of the two
+        # edge terms is real, -(v_r X v_c) u_r u_c^T, the rest is imaginary
+        # and discarded; upsampling swaps the roles of u and v (its -v
+        # factors cancel in pairs)
+        u_r, u_c = [plan.edge_weights if inverse else plan.edge_signs for plan in plans]
+        v_r, v_c = [plan.edge_signs if inverse else plan.edge_weights for plan in plans]
+        out -= (v_r @ x @ v_c)[..., None, None] * np.outer(u_r, u_c)
     return out
 
 

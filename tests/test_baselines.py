@@ -4,15 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpool.baselines import (
+    BASELINE_KINDS,
     PoolingKind,
     pool_avg,
     pool_baseline,
-    pool_baseline_2d,
     pool_blur_stride,
     pool_max,
     pool_stride,
     replace_rule,
 )
+from fpool.pipeline import Pool2d
 from fpool.pooling import make_plan, pool1d, unpool1d
 from fpool.spectral import circular_shift
 
@@ -48,9 +49,9 @@ def test_blur_stride_equals_average_pooling(stride, blocks, box, seed):
     x = np.random.default_rng(seed).uniform(-100, 100, (stride * blocks,) * 2)
     width = stride if box is None else box
     np.testing.assert_array_equal(pool_blur_stride(x, stride, box), pool_avg(x, width, stride))
-    # pool_baseline_2d also pools the height axis, through a transposed view
-    blur, avg = PoolingKind("blur", stride, box), PoolingKind("avg", stride, box)
-    np.testing.assert_array_equal(pool_baseline_2d(blur, x), pool_baseline_2d(avg, x))
+    # the 2-D layer also pools the height axis, through a transposed view
+    blur, avg = Pool2d(PoolingKind("blur", stride, box)), Pool2d(PoolingKind("avg", stride, box))
+    np.testing.assert_array_equal(blur.apply(x), avg.apply(x))
 
 
 def test_divisibility_is_required():
@@ -65,6 +66,12 @@ def test_kind_validation():
         PoolingKind("median", 2)
     with pytest.raises(ValueError):
         PoolingKind("max", 0)
+    # a float or bool size used to be built and then pool wrongly or raise
+    # IndexError; a string raised TypeError
+    for stride, window in ((2.5, None), (2, 1.5), (True, None), ("2", None)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            PoolingKind("max", stride, window)
+    assert PoolingKind("max", np.int64(2), np.int32(3)).effective_window == 3
     assert PoolingKind("max", 4).effective_window == 4
     assert PoolingKind("max", 4, 2).effective_window == 2
 
@@ -80,12 +87,26 @@ def test_pool_baseline_dispatch():
 
 def test_pool_baseline_2d():
     img = np.arange(16.0).reshape(4, 4)
-    got = pool_baseline_2d(PoolingKind("max", 2), img)
+    got = Pool2d(PoolingKind("max", 2)).apply(img)
     np.testing.assert_array_equal(got, [[5.0, 7.0], [13.0, 15.0]])
-    got = pool_baseline_2d(PoolingKind("avg", 2), img)
+    got = Pool2d(PoolingKind("avg", 2)).apply(img)
     np.testing.assert_array_equal(got, [[2.5, 4.5], [10.5, 12.5]])
-    chan = pool_baseline_2d(PoolingKind("avg", 2), np.stack([img, 2 * img]))
+    chan = Pool2d(PoolingKind("avg", 2)).apply(np.stack([img, 2 * img]))
     np.testing.assert_array_equal(chan[1], 2 * got)
+
+
+@pytest.mark.parametrize("kind", BASELINE_KINDS)
+@pytest.mark.parametrize("window", [None, 3])
+def test_2d_layer_pools_width_then_height(kind, window):
+    # a batched, non-square stack: the layer is pool_baseline along the
+    # width and then along the height, bit for bit
+    pk = PoolingKind(kind, 2, window)
+    x = np.random.default_rng(7).uniform(-100, 100, (2, 3, 6, 10))
+    width = pool_baseline(pk, x)
+    want = pool_baseline(pk, width.swapaxes(-1, -2)).swapaxes(-1, -2)
+    got = Pool2d(pk).apply(x)
+    assert got.shape == (2, 3, 3, 5)
+    np.testing.assert_array_equal(got, want)
 
 
 def test_replace_rules():

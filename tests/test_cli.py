@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import fpool.cli as cli
+import fpool.pipeline as pipeline
 from fpool.netpbm import read_netpbm, write_netpbm
 from fpool.pooling import ContractViolationError
 
@@ -443,6 +444,27 @@ class TestExitCodes:
         files = ("--input", str(src)) if args[0] == "pool" else ()
         assert cli.main([*args, *files, "--output", str(out)]) == 2
 
+    # pool checks --window for frequency pooling too, as demo1d and consistency do
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("pool", "--pooling", "fpool"),
+            ("pool", "--pooling", "max"),
+            ("demo1d",),
+            ("consistency", "--pooling", "fpool"),
+        ],
+        ids=" ".join,
+    )
+    def test_zero_window_is_a_config_error_for_every_kind(self, tmp_path, capsys, args):
+        src = tmp_path / "src.pgm"
+        write_netpbm(src, np.zeros((8, 8)))
+        out = tmp_path / ("out.pgm" if args[0] == "pool" else "out.csv")
+        files = ("--input", str(src)) if args[0] == "pool" else ()
+        assert cli.main([*args, *files, "--window", "0", "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: window") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_non_integer_sizes_and_non_finite_samples_are_config_errors(self, tmp_path):
         out = str(tmp_path / "out.csv")
         assert cli.main(["demo1d", "--n", "16.7", "--output", out]) == 2
@@ -463,7 +485,7 @@ class TestExitCodes:
     def test_non_finite_pooled_image_is_an_io_error(self, tmp_path, monkeypatch):
         src, dst = tmp_path / "src.pgm", tmp_path / "dst.pgm"
         write_netpbm(src, np.zeros((4, 4)))
-        monkeypatch.setattr(cli, "pool2d", lambda plan_r, plan_c, x: np.full((1, 2, 2), np.nan))
+        monkeypatch.setattr(pipeline, "pool2d", lambda plan_r, plan_c, x: np.full((1, 2, 2), np.nan))
         assert cli.main(["pool", "--input", str(src), "--output", str(dst), "--stride", "2"]) == 3
         assert not dst.exists()
 

@@ -110,6 +110,33 @@ class TestShiftSweep:
         with pytest.raises(ValueError):
             shift_sweep(net, lambda y: y, [], x)
 
+    @pytest.mark.parametrize("bad", [0.5, 1.7, 2.5, True, np.float64(2.0)])
+    def test_shifts_must_be_integers(self, bad):
+        # a float shift used to be truncated: [0.5, 1.7] swept (0, 1), and
+        # 2.5 measured shift 2
+        plan = make_plan(8, 4)
+        net = Pipeline((Pool1d(PoolingKind("fpool", 2), plan),), (1, 8))
+        image_net = Pipeline((Pool2d(PoolingKind("fpool", 2), plan, plan),), (1, 8, 8))
+        x = np.random.default_rng(8).standard_normal((1, 8))
+        calls = [
+            lambda: shift_sweep(net, plan, [0, bad], x),
+            lambda: equivalence_error(net, plan, bad, x),
+            lambda: equivalence_error(image_net, (plan, plan), (1, bad), np.ones((1, 8, 8))),
+            lambda: pipeline.toy_classifier_predictions(0, [0, bad], size=8, stride=2),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="shift must be an integer"):
+                call()
+
+    def test_numpy_integer_shifts_are_accepted(self):
+        plan = make_plan(8, 4)
+        net = Pipeline((Pool1d(PoolingKind("fpool", 2), plan),), (1, 8))
+        x = np.random.default_rng(9).standard_normal((1, 8))
+        sweep = shift_sweep(net, plan, np.arange(-2, 3), x)
+        assert sweep.shifts == (-2, -1, 0, 1, 2)
+        assert all(type(d) is int for d in sweep.shifts)
+        assert equivalence_error(net, plan, np.int32(2), x) == sweep.errors[-1]
+
 
 def _nearest(stride, spatial):
     """A callable upsampler that is not a plan: repeat each sample ``stride``

@@ -627,6 +627,18 @@ class TestPool2d:
         pooled = pool2d(pr, pr, img)
         np.testing.assert_allclose(unpool2d(pr, pr, pooled), img, atol=1e-9)
 
+    @pytest.mark.parametrize("pad", [False, True])
+    @pytest.mark.parametrize("kernel", [pool2d, unpool2d])
+    def test_strided_stack_gives_the_bits_of_its_contiguous_copy(self, kernel, pad):
+        # the (3, h, w) view of an interleaved (h, w, 3) image, the layout in
+        # which the CLI pools a P6 image
+        pr, pc = make_plan(64, 32, pad), make_plan(48, 24, pad)
+        size = (64, 48) if kernel is pool2d else (32, 24)
+        stack = np.moveaxis(np.random.default_rng(41).uniform(0, 255, size + (3,)), 2, 0)
+        assert not stack.flags.c_contiguous
+        got, want = kernel(pr, pc, stack), kernel(pr, pc, np.ascontiguousarray(stack))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_shape_errors(self):
         pr, pc = make_plan(8, 4), make_plan(8, 4)
         with pytest.raises(ValueError):
