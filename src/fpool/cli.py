@@ -223,11 +223,12 @@ def cmd_pool_image(config: ExperimentConfig) -> int:
     planar = pixels[np.newaxis] if pixels.ndim == 2 else np.moveaxis(pixels, 2, 0)
     h, w = planar.shape[1:]
     config.n = h
+    for k in (w, h):  # every kind pools by the stride, width first as a baseline does
+        if k % kind.stride:
+            raise ValueError(f"stride {kind.stride} must divide the length {k}")
     plans = (None, None)
     if kind.kind == "fpool":  # a baseline pays for no plan
-        built = {
-            k: make_plan(k, max(1, k // kind.stride), config.odd_padding) for k in dict.fromkeys((h, w))
-        }
+        built = {k: make_plan(k, k // kind.stride, config.odd_padding) for k in dict.fromkeys((h, w))}
         plans = (built[h], built[w])
     pooled = Pool2d(kind, *plans).apply(planar)
     out = pooled[0] if pixels.ndim == 2 else np.moveaxis(pooled, 0, 2)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import PoolingKind
-from .pooling import EXACTNESS_TOL, _require_integer, make_plan, reconstruction_decomposition
+from .pooling import EXACTNESS_TOL, _check_real_1d, _require_integer, _round_trip, make_plan
 from .pipeline import Pipeline, Pool1d, ReLU, _shift_vector, _spatial_ndim, _sweep_errors
 
 __all__ = [
@@ -36,7 +36,8 @@ class SweepResult:
 
     @property
     def exact(self) -> tuple[bool, ...]:
-        return tuple(e <= self.tolerance for e in self.errors)
+        tol = self.tolerance
+        return tuple(e <= tol for e in self.errors)
 
     @property
     def all_exact(self) -> bool:
@@ -135,24 +136,26 @@ def retention_ablation(rates, corpus) -> list[RetentionRow]:
     """Round-trip reconstruction error as a function of spectrum retention.
 
     Each rate in ``(0, 0.5]`` keeps ``max(1, round(rate * n))`` output
-    samples per signal; the error is the exact low-band residual plus
-    discarded high-band energy of the round trip.  Error can only shrink
-    as the retention rate grows.
+    samples per signal; the error is the total squared error of the plan's
+    own round trip, which equals the discarded high-band energy.  Only that
+    total is computed, in real arithmetic from the plan's real form: no FFT
+    band split, unlike :func:`fpool.pooling.reconstruction_decomposition`.
+    Error can only shrink as the retention rate grows.  Every signal must be
+    1-D and finite.
     """
     rates = [float(r) for r in rates]
     for r in rates:
         if not 0.0 < r <= 0.5:
             raise ValueError(f"retention rates live in (0, 0.5], got {r}")
-    corpus = [np.asarray(x, dtype=float) for x in corpus]
+    corpus = [_check_real_1d(x, None, "signal") for x in corpus]
     if not corpus:
         raise ValueError("an empty corpus has no errors to summarize")
     rows = []
     for r in rates:
         errors = []
         for x in corpus:
-            m = max(1, round(r * x.shape[-1]))
-            err_total, _, _ = reconstruction_decomposition(x, make_plan(x.shape[-1], m))
-            errors.append(err_total)
+            n = x.shape[0]
+            errors.append(_round_trip(x, make_plan(n, max(1, round(r * n))))[0])
         rows.append(RetentionRow(r, float(np.mean(errors)), float(np.max(errors))))
     return rows
 

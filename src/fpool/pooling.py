@@ -84,6 +84,11 @@ EXACTNESS_TOL = 1e-9
 # of a retention ablation over n <= 1024 at rates up to 1/2 (15 plans, 17 MB).
 PLAN_CACHE_BYTES = 32 * 2**20
 
+# make_plan refuses to build a plan, before it allocates anything, when the
+# plan's 8*m*n bytes or the build's scratch of about 40*lcm(n, m) bytes (the
+# length-lcm(n, m) kernel transform and its copies) would exceed this budget.
+PLAN_BUILD_BYTES = 2**30
+
 # Rows of the round-trip deviation the check forms at once: a block of
 # 32 x m doubles, instead of the whole m x m matrix.  Once the cache holds a
 # workload's plans, a cold build's scratch is what sets the process's peak
@@ -253,7 +258,10 @@ def make_plan(n: int, m: int, odd_padding: bool = False) -> FPoolPlan:
     object, for as long as it stays in a cache of at most
     ``PLAN_CACHE_BYTES`` of plan arrays, least recently used out first.  A
     plan larger than that whole budget is built on every call, and a build
-    that fails its check raises and caches nothing.
+    that fails its check raises and caches nothing.  A build whose plan
+    (``8*m*n`` bytes) or scratch (about ``40*lcm(n, m)`` bytes) would exceed
+    ``PLAN_BUILD_BYTES`` is a ``ValueError``, raised before it allocates;
+    a cached plan is returned without that check.
 
     The plan comes from the closed form in the module docstring.  The kept
     bins round-trip exactly: ``matrix @ inverse_matrix`` is the identity on
@@ -273,8 +281,14 @@ def make_plan(n: int, m: int, odd_padding: bool = False) -> FPoolPlan:
 
 def _build_plan(n: int, m: int, odd_padding: bool) -> FPoolPlan:
     """Build and check the plan ``n -> m`` from valid sizes."""
-    freqs = _kept_frequencies(n, m, odd_padding)
     period = math.lcm(n, m)
+    need = max(8 * m * n, 40 * period)
+    if need > PLAN_BUILD_BYTES:
+        raise ValueError(
+            f"plan {n}->{m} needs about {need / 2**20:.0f} MiB to build, over the "
+            f"{PLAN_BUILD_BYTES / 2**20:.0f} MiB budget"
+        )
+    freqs = _kept_frequencies(n, m, odd_padding)
     indicator = np.zeros(period)
     indicator[freqs % period] = 1.0
     kernel = np.fft.ifft(indicator).real * (period / n)
@@ -345,11 +359,12 @@ def _finite_norm(x: np.ndarray, name: str) -> float:
     return norm
 
 
-def _check_real_1d(x, length: int, name: str) -> np.ndarray:
-    """``x`` as a finite float vector of ``length``."""
+def _check_real_1d(x, length: int | None, name: str) -> np.ndarray:
+    """``x`` as a finite float vector, of ``length`` unless that is None."""
     x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.shape[0] != length:
-        raise ValueError(f"{name} must be 1-D of length {length}, got shape {x.shape}")
+    if x.ndim != 1 or (length is not None and x.shape[0] != length):
+        of_length = "" if length is None else f" of length {length}"
+        raise ValueError(f"{name} must be 1-D{of_length}, got shape {x.shape}")
     _finite_norm(x, name)
     return x
 
@@ -444,8 +459,8 @@ def reconstruction_decomposition(
 ) -> tuple[float, float, float]:
     """Split the reconstruction error of a downsample/upsample round trip.
 
-    Evaluates the chain in complex arithmetic, where the coupled upsampler's
-    range and the discarded band are orthogonal, so the identity
+    Evaluates the complex chain, where the coupled upsampler's range and the
+    discarded band are orthogonal, so the identity
 
         ``err_total == err_low + energy_high``
 
@@ -458,21 +473,49 @@ def reconstruction_decomposition(
     With ``downsampled=None`` the plan's own pooling is used, for which
     ``err_low`` vanishes (the round trip IS the band component): no
     downsampling to ``m`` samples reconstructs closer to ``x`` than the
-    plan, whatever produced ``downsampled``.
+    plan, whatever produced ``downsampled``.  The round trip runs in real
+    arithmetic on the plan's real form; only ``err_low`` and
+    ``energy_high`` need the band component, from one FFT band split.
     """
     x = _check_real_1d(x, plan.n, "x")
-    a, u, v = plan.real_part, plan.edge_signs, plan.edge_weights
-    if downsampled is None:
-        y_re, y_im = a @ x, (v @ x) * u  # y = matrix @ x
-    else:
-        y_re = _check_real_1d(downsampled, plan.m, "downsampled")
-        y_im = np.zeros(plan.m)
-    # r = inverse_matrix @ y = (n/m) * (A.T - 1j * outer(v, u)) @ (y_re + 1j * y_im)
-    r = (plan.n / plan.m) * (
-        a.T @ y_re + (u @ y_im) * v + 1j * (a.T @ y_im - (u @ y_re) * v)
-    )
+    if downsampled is not None:
+        downsampled = _check_real_1d(downsampled, plan.m, "downsampled")
+    err_total, r_re, r_im = _round_trip(x, plan, downsampled)
     x_l = low_band_component(x, plan)
-    err_total = float(np.sum(np.abs(r - x) ** 2))
-    err_low = float(np.sum(np.abs(r - x_l) ** 2))
-    energy_high = float(np.sum(np.abs(x - x_l) ** 2))
+    low_re, low_im, high_re = r_re - x_l.real, r_im - x_l.imag, x - x_l.real
+    err_low = float(low_re @ low_re + low_im @ low_im)
+    energy_high = float(high_re @ high_re + x_l.imag @ x_l.imag)
     return err_total, err_low, energy_high
+
+
+def _round_trip(x: np.ndarray, plan: FPoolPlan, downsampled=None):
+    """``(err_total, r_re, r_im)`` of the complex round trip
+    ``r = inverse_matrix @ y`` of a checked signal ``x``, in real arithmetic:
+    ``err_total = |r_re - x|^2 + |r_im|^2``.
+
+    ``y`` is the checked real ``downsampled``, or the plan's own pooling
+    ``matrix @ x`` when it is None.  With ``y = y_re + 1j * y_im``,
+
+        ``r_re = (n/m) * (A.T @ y_re + (u @ y_im) * v)``
+        ``r_im = (n/m) * (A.T @ y_im - (u @ y_re) * v)``.
+
+    The plan's own pooling has ``y_re = A @ x`` and ``y_im = (v @ x) * u``,
+    so ``u @ y_im = (v @ x) * m`` and ``A.T @ y_im = (v @ x) * (A.T @ u)``,
+    one more row of the same product; a real ``downsampled`` has
+    ``y_im = 0``.
+    """
+    a, u, v = plan.real_part, plan.edge_signs, plan.edge_weights
+    ratio = plan.n / plan.m
+    y = a @ x if downsampled is None else downsampled
+    if downsampled is None:
+        vx = v @ x
+        back = np.stack((y, u)) @ a  # rows A.T @ y_re and A.T @ u, one pass over A
+        r_re = back[0] + (vx * plan.m) * v
+        r_im = vx * back[1] - (u @ y) * v
+    else:
+        r_re = y @ a
+        r_im = -(u @ y) * v
+    r_re *= ratio
+    r_im *= ratio
+    diff = r_re - x
+    return float(diff @ diff + r_im @ r_im), r_re, r_im

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import re
+import resource
 import shlex
 import subprocess
 import sys
@@ -250,6 +251,18 @@ class TestPoolImage:
         write_netpbm(src, np.zeros((4, 4)))
         assert run_cli("pool", "--input", str(src), check=False).returncode == 2
 
+    # frequency pooling used to pool a 10-pixel axis by 5 at --stride 4
+    @pytest.mark.parametrize("shape", [(10, 10), (10, 12), (12, 10)])
+    @pytest.mark.parametrize("pooling", ["fpool", "max"])
+    def test_stride_must_divide_the_image_for_every_kind(self, tmp_path, capsys, monkeypatch, shape, pooling):
+        monkeypatch.setattr(cli, "make_plan", lambda *args: pytest.fail("a plan was built"))
+        src, dst = tmp_path / "src.pgm", tmp_path / "dst.pgm"
+        write_netpbm(src, np.zeros(shape))
+        argv = ["pool", "--input", str(src), "--output", str(dst), "--stride", "4", "--pooling", pooling]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "configuration error: stride 4 must divide the length 10\n"
+        assert not dst.exists()
+
 
 class TestConsistency:
     def test_frequency_pooling_is_exactly_consistent(self):
@@ -471,6 +484,23 @@ class TestExitCodes:
         signal = tmp_path / "signal.csv"
         signal.write_text("\n".join(["0.5", "nan", "1.0", "-2.0"] * 4) + "\n")
         assert cli.main(["demo1d", "--input", str(signal), "--stride", "2", "--output", out]) == 2
+
+    # the plans these need (149 GiB and 19 GiB) are refused before any
+    # allocation; the child's address space is capped in case one is not
+    @pytest.mark.parametrize(
+        "args",
+        [("oddpad", "--n", "200000", "--stride", "2"), ("consistency", "--n", "100000", "--stride", "4")],
+        ids=" ".join,
+    )
+    def test_oversized_plans_are_config_errors(self, args):
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "fpool", *args], capture_output=True, text=True, preexec_fn=cap_memory
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert re.fullmatch(r"configuration error: plan \d+->\d+ needs about \d+ MiB .*budget\n", proc.stderr)
 
     def test_missing_input_file_is_an_io_error(self):
         assert run_cli("demo1d", "--input", "missing.csv", check=False).returncode == 3

@@ -27,13 +27,14 @@ from fpool.pipeline import (
     random_conv1d,
     random_conv2d,
 )
-from fpool.pooling import kept_bins, make_plan, unpool1d
+from fpool import pooling
+from fpool.pooling import kept_bins, make_plan, reconstruction_decomposition, unpool1d
 
 
-def _tail_energy(x, m):
+def _tail_energy(x, m, odd_padding=False):
     """Energy outside the kept band, straight from the transform."""
     s = np.fft.fft(x)
-    keep = kept_bins(len(x), m)
+    keep = kept_bins(len(x), m, odd_padding)
     return float(np.sum(np.abs(s[~keep]) ** 2) / len(x))
 
 
@@ -46,6 +47,14 @@ class TestSweepResult:
         assert r.max_error == 2.0
         np.testing.assert_allclose(r.mean_error, (5e-10 + 2.0) / 3)
         assert r.rows() == [(-1, 5e-10, True), (0, 0.0, True), (1, 2.0, False)]
+
+    def test_exact_reads_the_tolerance_once(self):
+        r = SweepResult(shifts=tuple(range(40)), errors=(1e-9, 3e-9) * 20, input_norm=2.0)
+        with mock.patch.object(
+            SweepResult, "tolerance", new_callable=mock.PropertyMock, return_value=2e-9
+        ) as tolerance:
+            assert r.exact == (True, False) * 20
+        assert tolerance.call_count == 1
 
 
 class TestShiftSweep:
@@ -351,6 +360,44 @@ class TestRetentionAblation:
             retention_ablation([0.0], [np.zeros(8)])
         with pytest.raises(ValueError):
             retention_ablation([0.5], [])
+
+    @pytest.mark.parametrize(
+        "bad",
+        [[0.0, np.nan, 1.0, 2.0], [0.0, 1.0, -np.inf, 2.0], np.zeros((2, 8)), 1.0],
+        ids=["nan", "inf", "2-D", "scalar"],
+    )
+    def test_non_finite_or_non_vector_signal_is_rejected(self, bad):
+        with pytest.raises(ValueError, match="signal"):
+            retention_ablation([0.5], [np.zeros(8), bad])
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 96).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+        st.booleans(),
+        st.sampled_from([1e-3, 1.0, 1e3]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_errors_are_the_round_trip_error_and_the_discarded_energy(self, sizes, pad, scale, seed):
+        n, m = sizes
+        x = scale * np.random.default_rng(seed).standard_normal(n)
+        tol = 1e-12 * max(1.0, float(x @ x))
+        err_total = reconstruction_decomposition(x, make_plan(n, m, pad))[0]
+        assert abs(err_total - _tail_energy(x, m, pad)) <= tol
+        if not pad and 2 * m <= n:  # the ablation's plans: rates up to 1/2, no padding
+            (row,) = retention_ablation([m / n], [x])
+            assert row.mean_error == row.max_error
+            assert abs(row.max_error - err_total) <= tol
+
+    def test_ablation_runs_no_band_split(self, monkeypatch):
+        calls = []
+        split = pooling.low_band_component
+        monkeypatch.setattr(pooling, "low_band_component", lambda *a: calls.append(a) or split(*a))
+        rng = np.random.default_rng(6)
+        corpus = [rng.standard_normal(n) for n in (32, 48, 30)]
+        retention_ablation([0.125, 0.25, 0.5], corpus)
+        assert calls == []
+        reconstruction_decomposition(corpus[0], make_plan(32, 8))  # the split it skips
+        assert len(calls) == 1
 
 
 class TestConsistency:

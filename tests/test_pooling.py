@@ -378,6 +378,40 @@ class TestPlanCache:
             tracemalloc.stop()
         assert peak < plan.real_part.nbytes + 2e6
 
+    @pytest.mark.parametrize(
+        "n,m,need",
+        [
+            (64, 32, 8 * 32 * 64),  # the plan's bytes bind: its scratch is 40 * 64
+            (97, 89, 40 * 97 * 89),  # coprime: the scratch of lcm(97, 89) samples binds
+        ],
+    )
+    def test_build_budget_bounds_the_plan_and_its_scratch(self, plan_cache, monkeypatch, n, m, need):
+        monkeypatch.setattr(pooling, "PLAN_BUILD_BYTES", need - 1)
+        with pytest.raises(ValueError, match="budget"):
+            make_plan(n, m)
+        assert plan_cache.nbytes == 0
+        monkeypatch.setattr(pooling, "PLAN_BUILD_BYTES", need)
+        plan = make_plan(n, m)
+        assert (plan.n, plan.m) == (n, m)
+
+    def test_build_over_the_budget_is_refused_before_it_allocates(self, plan_cache, monkeypatch):
+        monkeypatch.setattr(pooling, "PLAN_BUILD_BYTES", 2**20)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"plan 1024->512 needs about 4 MiB"):
+                make_plan(1024, 512)  # a 4 MiB plan
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64_000
+
+    def test_cache_hit_skips_the_build_budget(self, plan_cache, monkeypatch):
+        plan = make_plan(64, 32)
+        monkeypatch.setattr(pooling, "PLAN_BUILD_BYTES", 1)
+        assert make_plan(64, 32) is plan
+        with pytest.raises(ValueError, match="budget"):
+            make_plan(64, 16)
+
     def test_second_retention_pass_builds_no_plan(self, plan_cache, monkeypatch):
         # the retention workload's 15 (n, m) keys, 17 MB of plans, fit the budget
         rng = np.random.default_rng(17)
