@@ -24,7 +24,16 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .baselines import PoolingKind, pool_baseline
-from .pooling import FPoolPlan, _require_integer, make_plan, pool1d, pool2d, unpool1d, unpool2d
+from .pooling import (
+    PLAN_BUILD_BYTES,
+    FPoolPlan,
+    _require_integer,
+    make_plan,
+    pool1d,
+    pool2d,
+    unpool1d,
+    unpool2d,
+)
 
 __all__ = [
     "Conv1d",
@@ -57,7 +66,17 @@ _SWEEP_CHUNK_DOUBLES = 4096
 class _Conv:
     """Stride-1 convolution over ``(..., c_in) + spatial`` features with
     centered taps; only the ``spatial`` trailing axes are padded, so leading
-    axes are a batch.  Subclasses fix the number of spatial axes."""
+    axes are a batch.  Subclasses fix the number of spatial axes.
+
+    The output is computed one channel at a time on the flattened padded
+    grid: with the output laid out at the padded row length, every tap reads
+    one contiguous run of each padded input channel.  The arithmetic is the
+    tap-by-tap einsum's, in its order: a tap's products are summed over the
+    input channels in sequence, and the taps are summed in ``np.ndindex``
+    order onto a zero, so the result is the einsum's bit for bit.  The one
+    exception is a padded grid of a single entry (a 1-tap kernel on a
+    one-entry input), where einsum sums three or more channels in its vector
+    lanes; here they are summed in sequence all the same."""
 
     weights: np.ndarray  # (c_out, c_in) + one kernel size per spatial axis
     padding: str = "circular"
@@ -68,30 +87,52 @@ class _Conv:
         if self.padding not in _PAD_MODES:
             raise ValueError(f"padding must be one of {tuple(_PAD_MODES)}, got {self.padding!r}")
         self.weights = np.asarray(self.weights, dtype=float)
-        if self.weights.ndim != 2 + self.spatial:
+        if self.weights.ndim != 2 + self.spatial or 0 in self.weights.shape[1:]:
             raise ValueError(
                 f"conv{self.spatial}d weights must be (c_out, c_in) plus {self.spatial} "
-                f"kernel axes, got {self.weights.shape}"
+                f"kernel axes, none of the last empty, got {self.weights.shape}"
             )
 
+    def _mismatch(self, shape) -> ValueError:
+        c_in = self.weights.shape[1]
+        return ValueError(f"conv{self.spatial}d expects (c_in={c_in}, *spatial), got {shape}")
+
     def out_shape(self, shape):
-        c_out, c_in = self.weights.shape[:2]
-        if len(shape) != 1 + self.spatial or shape[0] != c_in:
-            raise ValueError(f"conv{self.spatial}d expects (c_in={c_in}, *spatial), got {shape}")
-        return (c_out,) + tuple(shape[1:])
+        if len(shape) != 1 + self.spatial or shape[0] != self.weights.shape[1]:
+            raise self._mismatch(shape)
+        return (self.weights.shape[0],) + tuple(shape[1:])
 
     def apply(self, x):
         x = np.asarray(x, dtype=float)
-        kernel = self.weights.shape[2:]
-        size = x.shape[x.ndim - self.spatial :]
+        c_out, c_in = self.weights.shape[:2]
+        if x.ndim < 1 + self.spatial or x.shape[-1 - self.spatial] != c_in:
+            raise self._mismatch(x.shape)
+        split = x.ndim - self.spatial
+        lead, size, kernel = x.shape[: split - 1], x.shape[split:], self.weights.shape[2:]
         pads = tuple((k // 2, k - 1 - k // 2) for k in kernel)
-        xp = np.pad(x, ((0, 0),) * (x.ndim - self.spatial) + pads, mode=_PAD_MODES[self.padding])
-        axes = "xyz"[: self.spatial]
-        spec = f"oi,...i{axes}->...o{axes}"
-        out = np.zeros(x.shape[: x.ndim - self.spatial - 1] + (self.weights.shape[0],) + size)
-        for tap in np.ndindex(*kernel):
-            window = tuple(slice(t, t + s) for t, s in zip(tap, size))
-            out += np.einsum(spec, self.weights[(..., *tap)], xp[(..., *window)])
+        xp = np.pad(x, ((0, 0),) * split + pads, mode=_PAD_MODES[self.padding])
+        padded = xp.shape[split:]
+        # output entry y sits at sum(y_a * step_a) of the flattened padded grid,
+        # and tap t reads the run of that length starting sum(t_a * step_a) on
+        steps = [math.prod(padded[a + 1 :]) for a in range(self.spatial)]
+        run = 1 + sum((s - 1) * step for s, step in zip(size, steps))
+        starts = [sum(t * step for t, step in zip(tap, steps)) for tap in np.ndindex(*kernel)]
+        taps = self.weights.reshape(c_out, c_in, len(starts)).tolist()  # taps in np.ndindex order
+        flat = xp.reshape(lead + (c_in, math.prod(padded)))
+        buffers = np.empty((3,) + lead + (size[0] * steps[0],))
+        acc, term, product = buffers[..., :run]
+        valid = buffers[0].reshape(lead + (size[0],) + padded[1:])[(..., *map(slice, size))]
+        out = np.empty(lead + (c_out,) + size)
+        for o in range(c_out):
+            acc[...] = 0.0
+            for start, w in zip(starts, zip(*taps[o])):
+                window = flat[..., start : start + run]
+                np.multiply(window[..., 0, :], w[0], out=term)
+                for i in range(1, c_in):
+                    np.multiply(window[..., i, :], w[i], out=product)
+                    np.add(term, product, out=term)
+                np.add(acc, term, out=acc)
+            out[(..., o) + (slice(None),) * self.spatial] = valid
         return out
 
 
@@ -407,14 +448,6 @@ def equivalence_error(pipeline: Pipeline, upsampler, delta_t, x) -> float:
     return float(_sweep_errors(pipeline, upsampler, deltas, x)[0])
 
 
-def _toy_pipeline(seed, size, channels, classes, kernel, stride, pooling, conv_padding, odd_padding, window):
-    conv = random_conv2d(seed, 1, channels, kernel, padding=conv_padding)
-    plan = make_plan(size, size // stride, odd_padding) if pooling == "fpool" else None
-    pool = Pool2d(PoolingKind(pooling, stride, window), plan, plan)
-    head = random_linear(seed + 1, channels, classes)
-    return Pipeline((conv, ReLU(), pool, GlobalAvg(), head, Softmax()), (1, size, size))
-
-
 def toy_classifier_predictions(
     seed: int,
     shifts,
@@ -438,9 +471,22 @@ def toy_classifier_predictions(
     shifts = [_require_integer(d, "shift") for d in shifts]
     if not shifts:
         raise ValueError("at least one shift is required")
-    net = _toy_pipeline(
-        seed, size, channels, classes, kernel, stride, pooling, conv_padding, odd_padding, window
-    )
+    size = _require_integer(size, "classifier size")
+    if size < 1:
+        raise ValueError(f"classifier size must be >= 1, got {size}")
+    kind = PoolingKind(pooling, stride, window)
+    if size % stride:  # for every kind, as a baseline pooling layer requires
+        raise ValueError(f"stride {stride} must divide the feature size {(size, size)}")
+    plan = make_plan(size, size // stride, odd_padding) if pooling == "fpool" else None
+    need = 8 * channels * size**2  # one stage of conv features
+    if need > PLAN_BUILD_BYTES:
+        raise ValueError(
+            f"classifier features {channels}x{size}x{size} need about {need / 2**20:.0f} MiB, "
+            f"over the {PLAN_BUILD_BYTES / 2**20:.0f} MiB budget"
+        )
+    conv = random_conv2d(seed, 1, channels, kernel, padding=conv_padding)
+    head = random_linear(seed + 1, channels, classes)
+    net = Pipeline((conv, ReLU(), Pool2d(kind, plan, plan), GlobalAvg(), head, Softmax()), (1, size, size))
     rng = np.random.default_rng(seed + 2)
     x = rng.standard_normal((1, size, size))
     probs = np.stack([net.forward(np.roll(x, (d, d), axis=(1, 2)))[-1] for d in shifts])

@@ -275,6 +275,23 @@ class TestConsistency:
         out = run_cli("consistency", "--seed", "3", "--pooling", "max").stdout
         assert csv_values(out, "consistency")[0] < 1.0 or csv_values(out, "prob_std")[0] > 1e-4
 
+    # frequency pooling would pool 30 -> 7; a baseline cannot pool 30 by 4
+    def test_the_stride_must_divide_the_size_for_every_kind(self, capsys):
+        errs = []
+        for pooling in ("fpool", "max"):
+            assert cli.main(["consistency", "--n", "30", "--stride", "4", "--pooling", pooling]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            errs.append(err)
+        assert errs == ["configuration error: stride 4 must divide the feature size (30, 30)\n"] * 2
+
+    @pytest.mark.parametrize("pooling", ["fpool", "max"])
+    @pytest.mark.parametrize("n", ["0", "-4"])
+    def test_an_empty_or_negative_size_is_a_config_error(self, capsys, pooling, n):
+        assert cli.main(["consistency", "--n", n, "--pooling", pooling]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"configuration error: classifier size must be >= 1, got {n}\n"
+
 
 class TestDeterminism:
     CASES = [
@@ -501,6 +518,22 @@ class TestExitCodes:
         )
         assert proc.returncode == 2 and proc.stdout == ""
         assert re.fullmatch(r"configuration error: plan \d+->\d+ needs about \d+ MiB .*budget\n", proc.stderr)
+
+    # a baseline builds no plan; its 1 x 100000 x 100000 input alone would be
+    # 80 GB, so the classifier's features are bounded before they are made
+    def test_oversized_classifier_features_are_config_errors(self):
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "fpool", "consistency", "--pooling", "max", "--n", "100000"],
+            capture_output=True,
+            text=True,
+            preexec_fn=cap_memory,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        features = r"classifier features 4x100000x100000 need about \d+ MiB, over the \d+ MiB budget"
+        assert re.fullmatch(f"configuration error: {features}\n", proc.stderr)
 
     def test_missing_input_file_is_an_io_error(self):
         assert run_cli("demo1d", "--input", "missing.csv", check=False).returncode == 3

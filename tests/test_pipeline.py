@@ -1,7 +1,13 @@
 """Layer behavior, the equivalence harness, and the two pipeline studies."""
 
+import hashlib
+import math
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpool import pipeline
 from fpool.baselines import ALL_KINDS, BASELINE_KINDS, PoolingKind
@@ -25,6 +31,8 @@ from fpool.pipeline import (
 from fpool import metrics
 from fpool.metrics import transitivity_report
 from fpool.pooling import make_plan, pool1d
+
+from conv_oracle import einsum_conv
 
 
 def _conv1d_loop(w, x, padding):
@@ -102,7 +110,28 @@ class TestConvLayers:
         rhs = np.roll(layer.apply(x), 5, axis=-1)
         assert np.max(np.abs(lhs - rhs)) > 1e-3
 
+    @pytest.mark.parametrize("spatial", [1, 2])
+    @pytest.mark.parametrize("lead", [(), (2,)], ids=["single", "batch"])
+    @pytest.mark.parametrize("c_in, given", [(1, 3), (3, 1), (2, 0)])
+    def test_a_channel_count_off_the_weights_is_refused(self, spatial, lead, c_in, given):
+        # einsum used to broadcast a size-1 channel axis into a silent answer
+        layer = (Conv1d, Conv2d)[spatial - 1](np.ones((2, c_in) + (3,) * spatial))
+        shape = lead + (given,) + (8,) * spatial
+        message = f"conv{spatial}d expects (c_in={c_in}, *spatial), got {shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            layer.apply(np.ones(shape))
+
+    @pytest.mark.parametrize("spatial", [1, 2])
+    def test_too_few_axes_are_refused(self, spatial):
+        layer = (Conv1d, Conv2d)[spatial - 1](np.ones((2, 1) + (3,) * spatial))
+        with pytest.raises(ValueError, match="expects"):
+            layer.apply(np.ones((8,) * spatial))
+
     def test_weight_shape_and_padding_validation(self):
+        with pytest.raises(ValueError):
+            Conv1d(np.zeros((2, 0, 3)))  # no input channel
+        with pytest.raises(ValueError):
+            Conv2d(np.zeros((2, 1, 3, 0)))  # an empty kernel axis
         with pytest.raises(ValueError):
             Conv1d(np.zeros((2, 3)))
         with pytest.raises(ValueError):
@@ -114,6 +143,52 @@ class TestConvLayers:
         assert random_conv1d(11, 1, 2, 3).seed == 11
         assert random_conv2d(12, 1, 2, 3).seed == 12
         assert random_linear(13, 4, 3).seed == 13
+
+
+def _sequential_channel_sum(weights, x):
+    """The conv of a one-entry grid, a 1-tap kernel on a one-entry input: its
+    products summed over the input channels in sequence, onto a zero."""
+    w = weights.reshape(weights.shape[:2])
+    x = x.reshape(x.shape[: x.ndim - weights.ndim + 2])
+    term = w[:, 0] * x[..., :1]
+    for i in range(1, w.shape[1]):
+        term = term + w[:, i] * x[..., i : i + 1]
+    return (0.0 + term).reshape(x.shape[:-1] + (w.shape[0],) + (1,) * (weights.ndim - 2))
+
+
+def _with_zeros(values, rng):
+    """``values`` with about one entry in five set to +0.0 or -0.0."""
+    values[rng.random(values.shape) < 0.1] = 0.0
+    values[rng.random(values.shape) < 0.1] = -0.0
+    return values
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([1, 2]),
+    st.integers(1, 4),
+    st.integers(0, 4),
+    st.lists(st.integers(1, 6), min_size=2, max_size=2),
+    st.lists(st.integers(1, 7), min_size=2, max_size=2),
+    st.lists(st.integers(0, 3), max_size=2),
+    st.sampled_from(["circular", "zero"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_conv_matches_the_einsum_oracle_bit_for_bit(spatial, c_in, c_out, kernel, size, lead, padding, seed):
+    rng = np.random.default_rng(seed)
+    kernel, size = tuple(kernel[:spatial]), tuple(size[:spatial])
+    weights = _with_zeros(rng.standard_normal((c_out, c_in) + kernel), rng)
+    x = _with_zeros(rng.standard_normal(tuple(lead) + (c_in,) + size), rng)
+    got = (Conv1d, Conv2d)[spatial - 1](weights, padding).apply(x)
+    want = einsum_conv(weights, x, padding, spatial)
+    if math.prod(size) == math.prod(kernel) == 1:
+        # one padded entry: einsum sums the channels in its vector lanes,
+        # the layer in sequence; the two differ by rounding at most
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
+        want = _sequential_channel_sum(weights, x)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestSimpleLayers:
@@ -378,3 +453,35 @@ class TestToyClassifier:
     def test_at_least_one_shift_is_required(self):
         with pytest.raises(ValueError):
             toy_classifier_predictions(0, [])
+
+    # sha256 of the probabilities at the benchmark's 128x128x8 size, recorded
+    # with the tap-by-tap einsum convolution
+    DIGESTS = {
+        ("fpool", 0): "0f5480a6819a8aeb5d68685db08b6e71de977d9b3e5ad1914ad6f3f5d04a06e3",
+        ("fpool", 1): "cc43f09b4dae296b8102fb3542c0ff16ac22e80a12d6f696033ad6168cb3953c",
+        ("max", 0): "e28d37ee1d77bf3f2e227d9bc2db40c561d598f806e0fb268d81f9fd245ea4d6",
+        ("max", 1): "cf137254a4b9bfe72042e6633b2465e9be940392addf7ff975582b57a905ce69",
+        ("blur", 0): "075cc8258940bd04eba45d37d83b7639dc31abe2af9d441904a281f7a6e9fec9",
+        ("blur", 1): "cc43f09b4dae296b8102fb3542c0ff16ac22e80a12d6f696033ad6168cb3953c",
+    }
+
+    @pytest.mark.parametrize("pooling, seed", sorted(DIGESTS))
+    def test_benchmark_size_probabilities_match_the_recorded_digest(self, pooling, seed):
+        probs = toy_classifier_predictions(seed, range(-7, 8), pooling=pooling, size=128, channels=8)[1]
+        assert hashlib.sha256(probs.tobytes()).hexdigest() == self.DIGESTS[pooling, seed]
+
+    @pytest.mark.parametrize("pooling", ["fpool", "max"])
+    def test_size_and_stride_are_checked_for_every_kind(self, pooling):
+        for size in (0, -4):
+            with pytest.raises(ValueError, match=f"classifier size must be >= 1, got {size}"):
+                toy_classifier_predictions(0, [0], pooling=pooling, size=size)
+        with pytest.raises(ValueError, match=re.escape("stride 4 must divide the feature size (30, 30)")):
+            toy_classifier_predictions(0, [0], pooling=pooling, size=30)
+
+    def test_features_over_the_budget_are_refused(self, monkeypatch):
+        # 2 channels of 16x16 doubles are 4 KiB, one byte over this budget
+        monkeypatch.setattr(pipeline, "PLAN_BUILD_BYTES", 4095)
+        with pytest.raises(ValueError, match="classifier features 2x16x16 need about .* over the .* budget"):
+            toy_classifier_predictions(0, [0], pooling="max", size=16, channels=2)
+        monkeypatch.setattr(pipeline, "PLAN_BUILD_BYTES", 4096)
+        assert len(toy_classifier_predictions(0, [0], pooling="max", size=16, channels=2)[0]) == 1
