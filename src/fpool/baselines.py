@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pooling import _require_integer
+from .pooling import _positive_integer
 
 __all__ = [
     "BASELINE_KINDS",
@@ -38,8 +38,8 @@ class PoolingKind:
 
     ``window`` is the max/avg window (default: the stride) and doubles as
     the box width for blur fragments produced by :func:`replace_rule`.  A
-    stride or window that is not an integer (a float, a bool) is a
-    ``ValueError``.
+    stride or window that is not an integer (a float, a bool) or is below 1
+    is a ``ValueError``.
     """
 
     kind: str
@@ -49,26 +49,28 @@ class PoolingKind:
     def __post_init__(self):
         if self.kind not in ALL_KINDS:
             raise ValueError(f"unknown pooling kind {self.kind!r}, expected one of {ALL_KINDS}")
-        if _require_integer(self.stride, "stride") < 1:
-            raise ValueError(f"stride must be >= 1, got {self.stride}")
-        if self.window is not None and _require_integer(self.window, "window") < 1:
-            raise ValueError(f"window must be >= 1, got {self.window}")
+        _positive_integer(self.stride, "stride")
+        if self.window is not None:
+            _positive_integer(self.window, "window")
 
     @property
     def effective_window(self) -> int:
         return self.stride if self.window is None else self.window
 
+    def pooled(self, n: int) -> int:
+        """The length ``n`` pools to, ``n // stride``; every kind pools by the
+        stride, so a stride that does not divide ``n`` is a ``ValueError``."""
+        if n % self.stride:
+            raise ValueError(f"stride {self.stride} must divide the length {n}")
+        return n // self.stride
 
-def _checked(x, stride: int):
+
+def _checked(x, kind: PoolingKind):
     x = np.asarray(x, dtype=float)
     if x.ndim < 1 or x.shape[-1] < 1:
         raise ValueError(f"signal must have a nonempty trailing axis, got shape {x.shape}")
-    n = x.shape[-1]
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
-    if n % stride:
-        raise ValueError(f"stride {stride} must divide the length {n}")
-    return x, n
+    kind.pooled(x.shape[-1])
+    return x, x.shape[-1]
 
 
 def _window_index(n: int, stride: int, window: int) -> np.ndarray:
@@ -78,38 +80,33 @@ def _window_index(n: int, stride: int, window: int) -> np.ndarray:
 
 def pool_max(x, window: int, stride: int) -> np.ndarray:
     """Max over circular windows of the given width, one per stride step."""
-    x, n = _checked(x, stride)
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
+    x, n = _checked(x, PoolingKind("max", stride, window))
     return x[..., _window_index(n, stride, window)].max(axis=-1)
 
 
 def pool_avg(x, window: int, stride: int) -> np.ndarray:
     """Mean over circular windows of the given width, one per stride step."""
-    x, n = _checked(x, stride)
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
+    x, n = _checked(x, PoolingKind("avg", stride, window))
     return x[..., _window_index(n, stride, window)].mean(axis=-1)
 
 
 def pool_stride(x, stride: int) -> np.ndarray:
     """Keep every stride-th sample, starting at index 0."""
-    x, _ = _checked(x, stride)
+    x, _ = _checked(x, PoolingKind("stride", stride))
     return x[..., ::stride].copy()
 
 
-def pool_blur_stride(x, stride: int, box: int | None = None) -> np.ndarray:
-    """Circular box filter (width = stride unless given) followed by subsampling.
+def pool_blur_stride(x, stride: int, window: int | None = None) -> np.ndarray:
+    """Circular box filter (width ``window``, default the stride) followed by
+    subsampling.
 
-    It equals ``pool_avg(x, box or stride, stride)`` bit for bit, which the
-    tests pin down, but filters all ``n`` samples before it keeps every
+    It equals ``pool_avg(x, window or stride, stride)`` bit for bit, which
+    the tests pin down, but filters all ``n`` samples before it keeps every
     stride-th.
     """
-    x, n = _checked(x, stride)
-    box = stride if box is None else int(box)
-    if box < 1:
-        raise ValueError(f"box width must be >= 1, got {box}")
-    idx = (np.arange(n)[:, None] + np.arange(box)[None, :]) % n
+    kind = PoolingKind("blur", stride, window)
+    x, n = _checked(x, kind)
+    idx = (np.arange(n)[:, None] + np.arange(kind.effective_window)[None, :]) % n
     blurred = x[..., idx].mean(axis=-1)
     return blurred[..., ::stride].copy()
 

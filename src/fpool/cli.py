@@ -97,24 +97,30 @@ def _write_rows(config: ExperimentConfig, rows) -> None:
         _emit_csv(config, rows, sys.stdout)
 
 
-def _load_1d_input(config: ExperimentConfig) -> np.ndarray:
-    """Resolve --input into a signal: a spec, a CSV column, or an image row."""
+def _load_1d_input(config: ExperimentConfig, make_plans):
+    """Resolve --input into a signal (a spec, a CSV column, or an image row),
+    returned with ``make_plans(n)`` of its length ``n = config.n``; for a
+    spec the plans come first, so a length they refuse is never drawn."""
     spec = config.input or "smooth:0"
     if is_signal_spec(spec):
-        return make_signal(spec, config.n)
+        plans = make_plans(config.n)
+        return make_signal(spec, config.n), plans
     if spec.endswith((".pgm", ".ppm")):
         pixels, maxval, _ = read_netpbm(spec)
         if pixels.ndim == 3:
             pixels = pixels.mean(axis=2)
         row = int(np.random.default_rng(config.seed).integers(pixels.shape[0]))
         config.input_row = row
-        return pixels[row] / maxval
-    if spec.endswith(".csv"):
-        return load_signal_column(spec)
-    raise ValueError(
-        f"--input {spec!r} is neither a signal spec (impulse, tone:F, rand:S, smooth:S) "
-        "nor a .csv/.pgm/.ppm path"
-    )
+        x = pixels[row] / maxval
+    elif spec.endswith(".csv"):
+        x = load_signal_column(spec)
+    else:
+        raise ValueError(
+            f"--input {spec!r} is neither a signal spec (impulse, tone:F, rand:S, smooth:S) "
+            "nor a .csv/.pgm/.ppm path"
+        )
+    config.n = x.shape[0]
+    return x, make_plans(config.n)
 
 
 def cmd_demo1d(config: ExperimentConfig) -> int:
@@ -124,29 +130,29 @@ def cmd_demo1d(config: ExperimentConfig) -> int:
     with the plan's coupled inverse, then shift; and shift first, then pool
     and upsample.  A shift-equivalent pooling makes the curves identical.
     """
-    x = _load_1d_input(config)
-    n = x.shape[0]
-    config.n = n
-    stride = config.stride
-    if n % stride:
-        raise ValueError(f"stride {stride} must divide the signal length {n}")
-    m = config.m if config.m is not None else n // stride
-    config.m = m
-    plan = make_plan(n, m, config.odd_padding)
+    kinds = [PoolingKind(kind, config.stride, config.window) for kind in POOLINGS]
+
+    def plan_for(n):
+        m = kinds[0].pooled(n)  # every kind pools by the stride
+        config.m = m if config.m is None else config.m
+        return make_plan(n, config.m, config.odd_padding)
+
+    x, plan = _load_1d_input(config, plan_for)
+    n, m = config.n, config.m
     delta = config.shift
     rows = []
-    for kind in POOLINGS:
-        pool = Pool1d(PoolingKind(kind, stride, config.window), plan)
+    for kind in kinds:
+        pool = Pool1d(kind, plan)
         if pool.out_shape((1, n)) != (1, m):
-            raise ValueError(f"--m {m} conflicts with stride {stride} for {kind} pooling")
+            raise ValueError(f"--m {m} conflicts with stride {kind.stride} for {kind.kind} pooling")
         pooled, pooled_shifted = pool.apply(x), pool.apply(circular_shift(x, delta))
         first = circular_shift(unpool1d(plan, pooled), delta)
         second = unpool1d(plan, pooled_shifted)
         gap = float(np.max(np.abs(first - second)))
-        rows.extend((j, f"{kind}/pool_up_shift", v) for j, v in enumerate(first.tolist()))
-        rows.extend((j, f"{kind}/shift_pool_up", v) for j, v in enumerate(second.tolist()))
-        rows.append((delta, f"{kind}/gap", gap))
-        if kind == "fpool" and plan.symmetric_band and gap > EXACTNESS_TOL * max(1.0, float(np.linalg.norm(x))):
+        rows.extend((j, f"{kind.kind}/pool_up_shift", v) for j, v in enumerate(first.tolist()))
+        rows.extend((j, f"{kind.kind}/shift_pool_up", v) for j, v in enumerate(second.tolist()))
+        rows.append((delta, f"{kind.kind}/gap", gap))
+        if kind.kind == "fpool" and plan.symmetric_band and gap > EXACTNESS_TOL * max(1.0, float(np.linalg.norm(x))):
             raise ContractViolationError(
                 f"frequency pooling gap {gap:.3e} exceeds tolerance with a symmetric band"
             )
@@ -170,29 +176,30 @@ def cmd_oddpad(config: ExperimentConfig) -> int:
     fed the same signal with its unmatched edge-frequency pair removed
     (which restores exactness without any padding).
     """
-    x = _load_1d_input(config)
-    n = x.shape[0]
-    config.n = n
-    m = config.m if config.m is not None else n // config.stride
-    config.m = m
-    if not 1 <= m <= n:
-        raise ValueError(f"pooled length m={m} must lie in [1, {n}]")
-    if m % 2:
-        raise ValueError(f"the padding study needs even m, got {m}")
+    kind = PoolingKind("fpool", config.stride)
+
+    def plans_for(n):
+        m = config.m if config.m is not None else n // kind.stride
+        config.m = m
+        if m % 2:  # make_plan refuses an m outside [1, n]
+            raise ValueError(f"the padding study needs even m, got {m}")
+        return make_plan(n, m, True), make_plan(n, m, False)
+
+    x, (padded, unpadded) = _load_1d_input(config, plans_for)
+    n, m = config.n, config.m
     shifts = _shift_range(config, n)
     spectrum = np.fft.fft(x)
     spectrum[m // 2] = 0.0
     spectrum[n - m // 2] = 0.0
     x_edge_free = np.real(np.fft.ifft(spectrum))
-    unpadded = make_plan(n, m, False)
     cases = [
-        ("padded", make_plan(n, m, True), x),
+        ("padded", padded, x),
         ("unpadded", unpadded, x),
         ("unpadded_edge_zeroed", unpadded, x_edge_free),
     ]
     rows = []
     for series, plan, signal in cases:
-        net = Pipeline((Pool1d(PoolingKind("fpool", config.stride), plan),), (1, n))
+        net = Pipeline((Pool1d(kind, plan),), (1, n))
         sweep = shift_sweep(net, plan, shifts, signal.reshape(1, n))
         rows.extend((shift, series, err) for shift, err in zip(sweep.shifts, sweep.errors))
         rows.append((0, f"{series}/max_error", sweep.max_error))
@@ -223,12 +230,10 @@ def cmd_pool_image(config: ExperimentConfig) -> int:
     planar = pixels[np.newaxis] if pixels.ndim == 2 else np.moveaxis(pixels, 2, 0)
     h, w = planar.shape[1:]
     config.n = h
-    for k in (w, h):  # every kind pools by the stride, width first as a baseline does
-        if k % kind.stride:
-            raise ValueError(f"stride {kind.stride} must divide the length {k}")
+    lengths = {k: kind.pooled(k) for k in (w, h)}  # width first, as a baseline pools
     plans = (None, None)
     if kind.kind == "fpool":  # a baseline pays for no plan
-        built = {k: make_plan(k, k // kind.stride, config.odd_padding) for k in dict.fromkeys((h, w))}
+        built = {k: make_plan(k, lengths[k], config.odd_padding) for k in dict.fromkeys((h, w))}
         plans = (built[h], built[w])
     pooled = Pool2d(kind, *plans).apply(planar)
     out = pooled[0] if pixels.ndim == 2 else np.moveaxis(pooled, 0, 2)
@@ -384,8 +389,6 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     config = ExperimentConfig(**vars(args))
     try:
-        if config.stride < 1:
-            raise ValueError(f"--stride must be >= 1, got {config.stride}")
         return _COMMANDS[config.command](config)
     except ContractViolationError as e:
         sys.stderr.write(f"contract violation: {e}\n")

@@ -103,13 +103,12 @@ def transitivity_report(
     it rather than assuming it.
     """
     n, m1, m2 = sizes
-    if not n >= m1 >= m2 >= 1:
-        raise ValueError(f"sizes must satisfy n >= m1 >= m2 >= 1, got {sizes}")
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((1, n))
+    # the plans refuse sizes that are not n >= m1 >= m2 >= 1, or too large to
+    # build, before the input is drawn
     plan1 = make_plan(n, m1, odd_padding)
     plan2 = make_plan(m1, m2, odd_padding)
     direct = make_plan(n, m2, odd_padding)
+    x = np.random.default_rng(seed).standard_normal((1, n))
     fp = PoolingKind("fpool", max(1, n // m1))
     stage1 = Pipeline((Pool1d(fp, plan1),), (1, n))
     z = stage1.forward(x)[-1]

@@ -25,8 +25,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .baselines import PoolingKind, pool_baseline
 from .pooling import (
-    PLAN_BUILD_BYTES,
     FPoolPlan,
+    _check_budget,
+    _positive_integer,
     _require_integer,
     make_plan,
     pool1d,
@@ -186,10 +187,7 @@ class _Pool:
             if size != tuple(plan.n for plan in plans):
                 raise ValueError(f"plans pool {tuple(plan.n for plan in plans)}, features have {size}")
             return (shape[0],) + tuple(plan.m for plan in plans)
-        s = self.kind.stride
-        if any(k % s for k in size):
-            raise ValueError(f"stride {s} must divide the feature size {size}")
-        return (shape[0],) + tuple(k // s for k in size)
+        return (shape[0],) + tuple(map(self.kind.pooled, size))
 
     def apply(self, x):
         plans = self.plans
@@ -454,8 +452,6 @@ def toy_classifier_predictions(
     pooling: str = "fpool",
     size: int = 32,
     channels: int = 4,
-    classes: int = 3,
-    kernel: int = 3,
     stride: int = 4,
     conv_padding: str = "circular",
     odd_padding: bool = False,
@@ -466,26 +462,22 @@ def toy_classifier_predictions(
     Returns ``(labels, probs, designated)``: the argmax label per shift (ties
     go to the lowest class index, numpy's argmax convention), the per-shift
     probability rows, and the class predicted at zero shift (the designated
-    class whose probability spread the consistency study reports).
+    class whose probability spread the consistency study reports).  The
+    network is a 3x3 convolution to ``channels`` feature maps, ReLU, the
+    pooling layer, a global average and a linear head over 3 classes.
     """
     shifts = [_require_integer(d, "shift") for d in shifts]
     if not shifts:
         raise ValueError("at least one shift is required")
-    size = _require_integer(size, "classifier size")
-    if size < 1:
-        raise ValueError(f"classifier size must be >= 1, got {size}")
+    size = _positive_integer(size, "classifier size")
+    channels = _positive_integer(channels, "channels")
     kind = PoolingKind(pooling, stride, window)
-    if size % stride:  # for every kind, as a baseline pooling layer requires
-        raise ValueError(f"stride {stride} must divide the feature size {(size, size)}")
-    plan = make_plan(size, size // stride, odd_padding) if pooling == "fpool" else None
+    pooled = kind.pooled(size)  # for every kind, as a baseline pooling layer requires
+    plan = make_plan(size, pooled, odd_padding) if pooling == "fpool" else None
     need = 8 * channels * size**2  # one stage of conv features
-    if need > PLAN_BUILD_BYTES:
-        raise ValueError(
-            f"classifier features {channels}x{size}x{size} need about {need / 2**20:.0f} MiB, "
-            f"over the {PLAN_BUILD_BYTES / 2**20:.0f} MiB budget"
-        )
-    conv = random_conv2d(seed, 1, channels, kernel, padding=conv_padding)
-    head = random_linear(seed + 1, channels, classes)
+    _check_budget(need, f"classifier features {channels}x{size}x{size} need about {{mib}} MiB")
+    conv = random_conv2d(seed, 1, channels, 3, padding=conv_padding)
+    head = random_linear(seed + 1, channels, 3)
     net = Pipeline((conv, ReLU(), Pool2d(kind, plan, plan), GlobalAvg(), head, Softmax()), (1, size, size))
     rng = np.random.default_rng(seed + 2)
     x = rng.standard_normal((1, size, size))

@@ -162,12 +162,25 @@ def _require_integer(value, name: str) -> int:
     return int(value)
 
 
+def _positive_integer(value, name: str) -> int:
+    """``value`` as an ``int`` of at least 1: the one check of every size,
+    stride and window outside :mod:`fpool.spectral`."""
+    value = _require_integer(value, name)
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    return value
+
+
+def _check_budget(need: int, what: str) -> None:
+    """Refuse, before it is allocated, a build of ``need`` bytes over ``PLAN_BUILD_BYTES``;
+    ``what`` is the message up to the budget, ``{mib}`` standing for the size in MiB."""
+    if need > PLAN_BUILD_BYTES:
+        mib = f"{need / 2**20:.0f}"
+        raise ValueError(f"{what.format(mib=mib)}, over the {PLAN_BUILD_BYTES / 2**20:.0f} MiB budget")
+
+
 def _check_sizes(n, m) -> tuple[int, int]:
-    n, m = _require_integer(n, "input length"), _require_integer(m, "output length")
-    if n < 1:
-        raise ValueError(f"input length must be >= 1, got {n}")
-    if m < 1:
-        raise ValueError(f"output length must be >= 1, got {m}")
+    n, m = _positive_integer(n, "input length"), _positive_integer(m, "output length")
     if m > n:
         raise ValueError(f"plan must not upsample: m={m} > n={n}")
     return n, m
@@ -282,12 +295,7 @@ def make_plan(n: int, m: int, odd_padding: bool = False) -> FPoolPlan:
 def _build_plan(n: int, m: int, odd_padding: bool) -> FPoolPlan:
     """Build and check the plan ``n -> m`` from valid sizes."""
     period = math.lcm(n, m)
-    need = max(8 * m * n, 40 * period)
-    if need > PLAN_BUILD_BYTES:
-        raise ValueError(
-            f"plan {n}->{m} needs about {need / 2**20:.0f} MiB to build, over the "
-            f"{PLAN_BUILD_BYTES / 2**20:.0f} MiB budget"
-        )
+    _check_budget(max(8 * m * n, 40 * period), f"plan {n}->{m} needs about {{mib}} MiB to build")
     freqs = _kept_frequencies(n, m, odd_padding)
     indicator = np.zeros(period)
     indicator[freqs % period] = 1.0

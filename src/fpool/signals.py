@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .pooling import _positive_integer
+
 __all__ = ["SIGNAL_SPECS", "is_signal_spec", "load_signal_column", "make_signal"]
 
 SIGNAL_SPECS = ("impulse", "tone:F", "rand:S", "smooth:S")
@@ -28,10 +30,8 @@ def is_signal_spec(text: str) -> bool:
 
 
 def make_signal(spec: str, n: int) -> np.ndarray:
-    """Build the length-``n`` signal described by ``spec``."""
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"signal length must be >= 1, got {n}")
+    """Build the length-``n`` signal described by ``spec``; ``n`` is an integer >= 1."""
+    n = _positive_integer(n, "signal length")
     if not is_signal_spec(spec):
         raise ValueError(f"unknown signal spec {spec!r}, expected one of {SIGNAL_SPECS}")
     if spec == "impulse":

@@ -61,6 +61,29 @@ def test_divisibility_is_required():
             fn()
 
 
+# each function with one size argument set to the value under test; the
+# functions used to raise IndexError or TypeError, or truncate a float box
+@pytest.mark.parametrize(
+    "fn, name",
+    [
+        (lambda x, v: pool_max(x, v, 2), "window"),
+        (lambda x, v: pool_max(x, 2, v), "stride"),
+        (lambda x, v: pool_avg(x, v, 2), "window"),
+        (lambda x, v: pool_avg(x, 2, v), "stride"),
+        (lambda x, v: pool_stride(x, v), "stride"),
+        (lambda x, v: pool_blur_stride(x, v), "stride"),
+        (lambda x, v: pool_blur_stride(x, 2, v), "window"),
+    ],
+    ids=["max-window", "max-stride", "avg-window", "avg-stride", "stride-stride", "blur-stride", "blur-window"],
+)
+@pytest.mark.parametrize("value", [0.5, 2.0, True, np.float64(2.0), 0, -1], ids=repr)
+def test_baseline_sizes_are_positive_integers(fn, name, value):
+    x = np.arange(8.0)
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        fn(x, value)
+    assert fn(x, np.int64(2)).shape == (4,)
+
+
 def test_kind_validation():
     with pytest.raises(ValueError):
         PoolingKind("median", 2)

@@ -283,7 +283,7 @@ class TestConsistency:
             out, err = capsys.readouterr()
             assert out == ""
             errs.append(err)
-        assert errs == ["configuration error: stride 4 must divide the feature size (30, 30)\n"] * 2
+        assert errs == ["configuration error: stride 4 must divide the length 30\n"] * 2
 
     @pytest.mark.parametrize("pooling", ["fpool", "max"])
     @pytest.mark.parametrize("n", ["0", "-4"])
@@ -502,11 +502,18 @@ class TestExitCodes:
         signal.write_text("\n".join(["0.5", "nan", "1.0", "-2.0"] * 4) + "\n")
         assert cli.main(["demo1d", "--input", str(signal), "--stride", "2", "--output", out]) == 2
 
-    # the plans these need (149 GiB and 19 GiB) are refused before any
-    # allocation; the child's address space is capped in case one is not
+    # the plans these need (19 GiB to 284 PiB) are refused before any
+    # allocation; the child's address space is capped in case one is not.
+    # The last three used to draw their signal first and die of MemoryError.
     @pytest.mark.parametrize(
         "args",
-        [("oddpad", "--n", "200000", "--stride", "2"), ("consistency", "--n", "100000", "--stride", "4")],
+        [
+            ("oddpad", "--n", "200000", "--stride", "2"),
+            ("consistency", "--n", "100000", "--stride", "4"),
+            ("transitivity", "--n", "400000000"),
+            ("oddpad", "--n", "100000000", "--stride", "2"),
+            ("demo1d", "--n", "400000000"),
+        ],
         ids=" ".join,
     )
     def test_oversized_plans_are_config_errors(self, args):

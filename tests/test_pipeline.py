@@ -241,6 +241,25 @@ class TestSimpleLayers:
         pipeline._as_upsampler(plan, net.input_shape, net.output_shape)(pooled)
         assert calls == [("pool1d", (3, 16)), ("unpool1d", (3, 4))]
 
+    # strides of the (8, 32, 32) output at the benchmark's 128x128x8 size
+    LAYOUTS = {
+        "fpool": (8192, 256, 8),
+        "max": (8, 2048, 64),
+        "avg": (8, 2048, 64),
+        "blur": (8192, 8, 256),
+        "stride": (8192, 8, 256),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(LAYOUTS))
+    def test_pool2d_output_layout_is_pinned(self, kind):
+        plans = (make_plan(128, 32),) * 2 if kind == "fpool" else ()
+        x = np.random.default_rng(6).standard_normal((8, 128, 128))
+        out = Pool2d(PoolingKind(kind, 4), *plans).apply(x)
+        assert out.strides == self.LAYOUTS[kind], (
+            f"{kind} pooling now returns strides {out.strides}: GlobalAvg sums in an order "
+            "set by its input's memory layout, so this moves the classifier digests"
+        )
+
     def test_fpool_layers_require_plans(self):
         with pytest.raises(ValueError):
             Pool1d(PoolingKind("fpool", 4))
@@ -475,13 +494,19 @@ class TestToyClassifier:
         for size in (0, -4):
             with pytest.raises(ValueError, match=f"classifier size must be >= 1, got {size}"):
                 toy_classifier_predictions(0, [0], pooling=pooling, size=size)
-        with pytest.raises(ValueError, match=re.escape("stride 4 must divide the feature size (30, 30)")):
+        with pytest.raises(ValueError, match="stride 4 must divide the length 30"):
             toy_classifier_predictions(0, [0], pooling=pooling, size=30)
+
+    # these used to leak numpy's reshape, dimension and TypeError messages
+    @pytest.mark.parametrize("channels", [0, -1, 2.5])
+    def test_channels_are_positive_integers(self, channels):
+        with pytest.raises(ValueError, match="^channels must be "):
+            toy_classifier_predictions(0, [0], pooling="max", channels=channels)
 
     def test_features_over_the_budget_are_refused(self, monkeypatch):
         # 2 channels of 16x16 doubles are 4 KiB, one byte over this budget
-        monkeypatch.setattr(pipeline, "PLAN_BUILD_BYTES", 4095)
+        monkeypatch.setattr("fpool.pooling.PLAN_BUILD_BYTES", 4095)
         with pytest.raises(ValueError, match="classifier features 2x16x16 need about .* over the .* budget"):
             toy_classifier_predictions(0, [0], pooling="max", size=16, channels=2)
-        monkeypatch.setattr(pipeline, "PLAN_BUILD_BYTES", 4096)
+        monkeypatch.setattr("fpool.pooling.PLAN_BUILD_BYTES", 4096)
         assert len(toy_classifier_predictions(0, [0], pooling="max", size=16, channels=2)[0]) == 1

@@ -36,8 +36,11 @@ def test_spec_validation():
         assert not is_signal_spec(bad)
         with pytest.raises(ValueError):
             make_signal(bad, 8)
-    with pytest.raises(ValueError):
-        make_signal("impulse", 0)
+    # a float length used to be truncated: 16.7 gave 16 samples
+    for n in (0, 16.7, True):
+        with pytest.raises(ValueError, match="^signal length must be "):
+            make_signal("impulse", n)
+    assert make_signal("impulse", np.int64(3)).shape == (3,)
 
 
 def test_csv_column_round_trip(tmp_path):
