@@ -20,7 +20,6 @@ from .pipeline import Pipeline, equivalence_error, toy_classifier_consistency
 from .pooling import (
     ContractViolationError,
     FPoolPlan,
-    kept_bins,
     make_plan,
     pool1d,
     pool2d,
@@ -40,7 +39,6 @@ __all__ = [
     "consistency_from_predictions",
     "dft_matrix",
     "equivalence_error",
-    "kept_bins",
     "make_plan",
     "pool1d",
     "pool2d",

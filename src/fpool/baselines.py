@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pooling import _positive_integer
+from .pooling import _check_budget
+from .spectral import _positive_integer
 
 __all__ = [
     "BASELINE_KINDS",
@@ -74,20 +75,28 @@ def _checked(x, kind: PoolingKind):
 
 
 def _window_index(n: int, stride: int, window: int) -> np.ndarray:
+    """Indices ``(n/stride, window)`` of each circular window, one per stride
+    step; refused before they are made when they exceed the build budget."""
+    what = f"windows of {window} at stride {stride} over {n} samples need about {{mib}} MiB of indices"
+    _check_budget(8 * (n // stride) * window, what)
     starts = np.arange(0, n, stride)
     return (starts[:, None] + np.arange(window)[None, :]) % n
 
 
-def pool_max(x, window: int, stride: int) -> np.ndarray:
-    """Max over circular windows of the given width, one per stride step."""
-    x, n = _checked(x, PoolingKind("max", stride, window))
-    return x[..., _window_index(n, stride, window)].max(axis=-1)
+def pool_max(x, window: int | None, stride: int) -> np.ndarray:
+    """Max over circular windows of the given width (None: the stride), one
+    per stride step."""
+    kind = PoolingKind("max", stride, window)
+    x, n = _checked(x, kind)
+    return x[..., _window_index(n, stride, kind.effective_window)].max(axis=-1)
 
 
-def pool_avg(x, window: int, stride: int) -> np.ndarray:
-    """Mean over circular windows of the given width, one per stride step."""
-    x, n = _checked(x, PoolingKind("avg", stride, window))
-    return x[..., _window_index(n, stride, window)].mean(axis=-1)
+def pool_avg(x, window: int | None, stride: int) -> np.ndarray:
+    """Mean over circular windows of the given width (None: the stride), one
+    per stride step."""
+    kind = PoolingKind("avg", stride, window)
+    x, n = _checked(x, kind)
+    return x[..., _window_index(n, stride, kind.effective_window)].mean(axis=-1)
 
 
 def pool_stride(x, stride: int) -> np.ndarray:
@@ -106,8 +115,7 @@ def pool_blur_stride(x, stride: int, window: int | None = None) -> np.ndarray:
     """
     kind = PoolingKind("blur", stride, window)
     x, n = _checked(x, kind)
-    idx = (np.arange(n)[:, None] + np.arange(kind.effective_window)[None, :]) % n
-    blurred = x[..., idx].mean(axis=-1)
+    blurred = x[..., _window_index(n, 1, kind.effective_window)].mean(axis=-1)
     return blurred[..., ::stride].copy()
 
 

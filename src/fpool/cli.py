@@ -28,7 +28,7 @@ from .pipeline import Pipeline, Pool1d, Pool2d, toy_classifier_predictions
 from .pooling import EXACTNESS_TOL, ContractViolationError, make_plan, pool1d, unpool1d
 from .metrics import consistency_from_predictions, shift_sweep, transitivity_report
 from .signals import is_signal_spec, load_signal_column, make_signal
-from .spectral import circular_shift
+from .spectral import _positive_integer, circular_shift
 
 __all__ = ["ExperimentConfig", "main"]
 
@@ -160,8 +160,13 @@ def cmd_demo1d(config: ExperimentConfig) -> int:
     return 0
 
 
-def _shift_range(config: ExperimentConfig, bound: int) -> range:
-    """--shift-min..--shift-max, each defaulting to -bound and bound."""
+def _shift_range(config: ExperimentConfig, bound: int, period: int) -> range:
+    """--shift-min..--shift-max, each defaulting to -bound and bound; a flag
+    outside one period of the input, [-period, period], is refused before the
+    range is built."""
+    for flag, value in (("--shift-min", config.shift_min), ("--shift-max", config.shift_max)):
+        if value is not None and not -period <= value <= period:
+            raise ValueError(f"{flag} {value} falls outside [-{period}, {period}]")
     lo = -bound if config.shift_min is None else config.shift_min
     hi = bound if config.shift_max is None else config.shift_max
     if lo > hi:
@@ -179,7 +184,7 @@ def cmd_oddpad(config: ExperimentConfig) -> int:
     kind = PoolingKind("fpool", config.stride)
 
     def plans_for(n):
-        m = config.m if config.m is not None else n // kind.stride
+        m = config.m if config.m is not None else kind.pooled(n)
         config.m = m
         if m % 2:  # make_plan refuses an m outside [1, n]
             raise ValueError(f"the padding study needs even m, got {m}")
@@ -187,7 +192,7 @@ def cmd_oddpad(config: ExperimentConfig) -> int:
 
     x, (padded, unpadded) = _load_1d_input(config, plans_for)
     n, m = config.n, config.m
-    shifts = _shift_range(config, n)
+    shifts = _shift_range(config, n, n)
     spectrum = np.fft.fft(x)
     spectrum[m // 2] = 0.0
     spectrum[n - m // 2] = 0.0
@@ -244,7 +249,7 @@ def cmd_pool_image(config: ExperimentConfig) -> int:
 
 def cmd_consistency(config: ExperimentConfig) -> int:
     """Toy-classifier predictions under diagonal shifts, plus the summary."""
-    shifts = _shift_range(config, 7)
+    shifts = _shift_range(config, 7, _positive_integer(config.n, "classifier size"))
     config.shift_min, config.shift_max = shifts.start, shifts.stop - 1
     labels, probs, designated = toy_classifier_predictions(
         config.seed,

@@ -9,8 +9,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import PoolingKind
-from .pooling import EXACTNESS_TOL, _check_real_1d, _require_integer, _round_trip, make_plan
+from .pooling import EXACTNESS_TOL, _check_real_1d, _round_trip, make_plan
 from .pipeline import Pipeline, Pool1d, ReLU, _shift_vector, _spatial_ndim, _sweep_errors
+from .spectral import _require_integer
 
 __all__ = [
     "RetentionRow",
@@ -24,7 +25,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Equivalence errors over a set of shifts, with exactness bookkeeping."""
+    """Equivalence errors over a set of shifts; ``all_exact`` when every error
+    is within the tolerance (a NaN error never is)."""
 
     shifts: tuple[int, ...]
     errors: tuple[float, ...]
@@ -35,25 +37,13 @@ class SweepResult:
         return EXACTNESS_TOL * max(1.0, self.input_norm)
 
     @property
-    def exact(self) -> tuple[bool, ...]:
-        tol = self.tolerance
-        return tuple(e <= tol for e in self.errors)
-
-    @property
     def all_exact(self) -> bool:
-        return all(self.exact)
+        tol = self.tolerance
+        return all(e <= tol for e in self.errors)
 
     @property
     def max_error(self) -> float:
         return max(self.errors)
-
-    @property
-    def mean_error(self) -> float:
-        return float(np.mean(self.errors))
-
-    def rows(self):
-        """(shift, error, exact) triples, ready for tabulation."""
-        return list(zip(self.shifts, self.errors, self.exact))
 
 
 def shift_sweep(pipeline: Pipeline, upsampler, shifts, x) -> SweepResult:
@@ -136,9 +126,8 @@ def retention_ablation(rates, corpus) -> list[RetentionRow]:
 
     Each rate in ``(0, 0.5]`` keeps ``max(1, round(rate * n))`` output
     samples per signal; the error is the total squared error of the plan's
-    own round trip, which equals the discarded high-band energy.  Only that
-    total is computed, in real arithmetic from the plan's real form: no FFT
-    band split, unlike :func:`fpool.pooling.reconstruction_decomposition`.
+    own round trip, which equals the discarded high-band energy, computed in
+    real arithmetic from the plan's real form.
     Error can only shrink as the retention rate grows.  Every signal must be
     1-D and finite.
     """

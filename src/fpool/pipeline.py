@@ -27,14 +27,13 @@ from .baselines import PoolingKind, pool_baseline
 from .pooling import (
     FPoolPlan,
     _check_budget,
-    _positive_integer,
-    _require_integer,
     make_plan,
     pool1d,
     pool2d,
     unpool1d,
     unpool2d,
 )
+from .spectral import _positive_integer, _require_integer
 
 __all__ = [
     "Conv1d",
@@ -81,7 +80,6 @@ class _Conv:
 
     weights: np.ndarray  # (c_out, c_in) + one kernel size per spatial axis
     padding: str = "circular"
-    seed: int | None = None  # recorded when the weights came from a seeded init
     spatial = 0
 
     def __post_init__(self):
@@ -235,7 +233,6 @@ class GlobalAvg:
 class Linear:
     weights: np.ndarray  # (c_out, c_in)
     bias: np.ndarray | None = None
-    seed: int | None = None
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float)
@@ -317,13 +314,13 @@ def _random_conv(cls, seed, c_in, c_out, kernel, padding):
     """Seeded weights ``(c_out, c_in) + (kernel,) * spatial``, scaled by the fan-in."""
     rng = np.random.default_rng(seed)
     w = rng.standard_normal((c_out, c_in) + (kernel,) * cls.spatial) / np.sqrt(c_in * kernel**cls.spatial)
-    return cls(w, padding=padding, seed=seed)
+    return cls(w, padding=padding)
 
 
 def random_linear(seed: int, c_in: int, c_out: int) -> Linear:
     rng = np.random.default_rng(seed)
     w = rng.standard_normal((c_out, c_in)) / np.sqrt(c_in)
-    return Linear(w, bias=0.1 * rng.standard_normal(c_out), seed=seed)
+    return Linear(w, bias=0.1 * rng.standard_normal(c_out))
 
 
 def _spatial_ndim(shape) -> int:
@@ -466,9 +463,6 @@ def toy_classifier_predictions(
     network is a 3x3 convolution to ``channels`` feature maps, ReLU, the
     pooling layer, a global average and a linear head over 3 classes.
     """
-    shifts = [_require_integer(d, "shift") for d in shifts]
-    if not shifts:
-        raise ValueError("at least one shift is required")
     size = _positive_integer(size, "classifier size")
     channels = _positive_integer(channels, "channels")
     kind = PoolingKind(pooling, stride, window)
@@ -476,6 +470,10 @@ def toy_classifier_predictions(
     plan = make_plan(size, pooled, odd_padding) if pooling == "fpool" else None
     need = 8 * channels * size**2  # one stage of conv features
     _check_budget(need, f"classifier features {channels}x{size}x{size} need about {{mib}} MiB")
+    # listed after the budget check, which bounds a sweep of one period
+    shifts = [_require_integer(d, "shift") for d in shifts]
+    if not shifts:
+        raise ValueError("at least one shift is required")
     conv = random_conv2d(seed, 1, channels, 3, padding=conv_padding)
     head = random_linear(seed + 1, channels, 3)
     net = Pipeline((conv, ReLU(), Pool2d(kind, plan, plan), GlobalAvg(), head, Softmax()), (1, size, size))

@@ -53,7 +53,6 @@ residue.
 from __future__ import annotations
 
 import math
-import numbers
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -61,13 +60,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .spectral import signed_frequency
+from .spectral import _positive_integer, signed_frequency
 
 __all__ = [
     "ContractViolationError",
     "FPoolPlan",
-    "kept_bins",
-    "low_band_component",
     "make_plan",
     "pool1d",
     "pool2d",
@@ -151,26 +148,6 @@ class FPoolPlan:
         return out
 
 
-def _require_integer(value, name: str) -> int:
-    """``value`` as an ``int``; ``ValueError`` unless it is an integer (a
-    NumPy integer too), since a float would be truncated silently."""
-    if type(value) is int:  # a sweep checks every shift: skip the slow ABC check
-        return value
-    # bool is an Integral subclass, but True as a size or shift is a caller bug
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _positive_integer(value, name: str) -> int:
-    """``value`` as an ``int`` of at least 1: the one check of every size,
-    stride and window outside :mod:`fpool.spectral`."""
-    value = _require_integer(value, name)
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
-    return value
-
-
 def _check_budget(need: int, what: str) -> None:
     """Refuse, before it is allocated, a build of ``need`` bytes over ``PLAN_BUILD_BYTES``;
     ``what`` is the message up to the budget, ``{mib}`` standing for the size in MiB."""
@@ -202,14 +179,6 @@ def _kept_frequencies(n: int, m: int, odd_padding: bool) -> np.ndarray:
     if odd_padding and _unmatched_edge(n, m):
         freqs = freqs[freqs != -(m // 2)]
     return freqs
-
-
-def kept_bins(n: int, m: int, odd_padding: bool = False) -> np.ndarray:
-    """Boolean mask over the ``n`` source bins that survive the plan's selection."""
-    n, m = _check_sizes(n, m)
-    keep = np.zeros(n, dtype=bool)
-    keep[_kept_frequencies(n, m, odd_padding) % n] = True
-    return keep
 
 
 class _PlanCache:
@@ -451,17 +420,6 @@ def _apply(plans: tuple, x, inverse: bool) -> np.ndarray:
     return out
 
 
-def low_band_component(x, plan: FPoolPlan) -> np.ndarray:
-    """Complex band component of ``x`` under the plan's literal bin selection.
-
-    This is exactly what pooling followed by coupled upsampling reproduces
-    when both are run in complex arithmetic, for every parity and padding
-    choice.
-    """
-    x = _check_real_1d(x, plan.n, "x")
-    return np.fft.ifft(np.fft.fft(x) * kept_bins(plan.n, plan.m, plan.odd_padding))
-
-
 def reconstruction_decomposition(
     x, plan: FPoolPlan, downsampled=None
 ) -> tuple[float, float, float]:
@@ -479,21 +437,23 @@ def reconstruction_decomposition(
     * ``energy_high`` squared energy of ``x`` outside the kept band.
 
     With ``downsampled=None`` the plan's own pooling is used, for which
-    ``err_low`` vanishes (the round trip IS the band component): no
+    ``err_low`` is 0 (the round trip IS the band component): no
     downsampling to ``m`` samples reconstructs closer to ``x`` than the
-    plan, whatever produced ``downsampled``.  The round trip runs in real
-    arithmetic on the plan's real form; only ``err_low`` and
-    ``energy_high`` need the band component, from one FFT band split.
+    plan, whatever produced ``downsampled``.  Everything runs in real
+    arithmetic on the plan's real form: the plan's own round trip gives
+    the band component and ``energy_high``, and a second round trip, of
+    ``downsampled``, gives ``err_total`` and ``err_low`` against it.
     """
     x = _check_real_1d(x, plan.n, "x")
     if downsampled is not None:
         downsampled = _check_real_1d(downsampled, plan.m, "downsampled")
+    energy_high, band_re, band_im = _round_trip(x, plan)
+    if downsampled is None:
+        return energy_high, 0.0, energy_high
     err_total, r_re, r_im = _round_trip(x, plan, downsampled)
-    x_l = low_band_component(x, plan)
-    low_re, low_im, high_re = r_re - x_l.real, r_im - x_l.imag, x - x_l.real
-    err_low = float(low_re @ low_re + low_im @ low_im)
-    energy_high = float(high_re @ high_re + x_l.imag @ x_l.imag)
-    return err_total, err_low, energy_high
+    r_re -= band_re
+    r_im -= band_im
+    return err_total, float(r_re @ r_re + r_im @ r_im), energy_high
 
 
 def _round_trip(x: np.ndarray, plan: FPoolPlan, downsampled=None):

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .pooling import _positive_integer
+from .spectral import _positive_integer
 
 __all__ = ["SIGNAL_SPECS", "is_signal_spec", "load_signal_column", "make_signal"]
 

@@ -1,8 +1,9 @@
-"""Test references: the dense transform and np.fft pooling maps.
+"""Test references: the dense transform, np.fft pooling maps and band split.
 
 ``dft`` and ``idft`` are the literal matrix products of the package's
 transform convention (``fpool.spectral.dft_matrix``).  ``fft_pool`` and
-``fft_unpool`` compute the pooling maps with np.fft, independent of any plan
+``fft_unpool`` compute the pooling maps with np.fft, and ``kept_bins`` and
+``low_band_component`` the kept band as a bin mask, independent of any plan
 matrix.  Pooling ``n -> m`` keeps the signed frequencies
 ``-floor(m/2) .. ceil(m/2)-1``, without the unmatched edge ``-m/2`` under
 odd padding (even ``m < n``).  Frequency ``f`` sits in source bin ``f % n``
@@ -40,6 +41,21 @@ def _kept_frequencies(n, m, odd_padding):
     if odd_padding and m % 2 == 0 and m < n:
         freqs = freqs[freqs != -(m // 2)]
     return freqs
+
+
+def kept_bins(n, m, odd_padding=False):
+    """Boolean mask over the ``n`` source bins that pooling to ``m`` keeps."""
+    keep = np.zeros(n, dtype=bool)
+    keep[_kept_frequencies(n, m, odd_padding) % n] = True
+    return keep
+
+
+def low_band_component(x, m, odd_padding=False):
+    """Complex band component of ``x``: its spectrum masked to the kept bins,
+    inverted.  Pooling then coupled upsampling, both in complex arithmetic,
+    reproduce exactly this, for every parity and padding choice."""
+    x = np.asarray(x, dtype=float)
+    return np.fft.ifft(np.fft.fft(x) * kept_bins(x.shape[-1], m, odd_padding))
 
 
 def fft_pool(x, m, odd_padding=False):

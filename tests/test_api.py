@@ -22,7 +22,6 @@ PUBLIC = {
         "consistency_from_predictions",
         "dft_matrix",
         "equivalence_error",
-        "kept_bins",
         "make_plan",
         "pool1d",
         "pool2d",
@@ -78,8 +77,6 @@ PUBLIC = {
     "fpool.pooling": [
         "ContractViolationError",
         "FPoolPlan",
-        "kept_bins",
-        "low_band_component",
         "make_plan",
         "pool1d",
         "pool2d",

@@ -32,6 +32,29 @@ def test_max_window_wraps_circularly():
     np.testing.assert_array_equal(pool_max(X4, 3, 2), [5.0, 7.0])
 
 
+def test_window_none_is_the_stride():
+    x = np.arange(8.0)
+    for fn in (pool_max, pool_avg, lambda x, w, s: pool_blur_stride(x, s, w)):
+        np.testing.assert_array_equal(fn(x, None, 2), fn(x, 2, 2))
+
+
+# the window indices are refused before they are made: n/s * window entries
+# for max and avg, n * window for blur (its windows step by 1), 8 bytes each
+@pytest.mark.parametrize(
+    "fn, stride, mib",
+    [
+        (pool_max, 2, 2**25),
+        (pool_avg, 2, 2**25),
+        (lambda x, w, s: pool_blur_stride(x, s, w), 1, 2**26),
+    ],
+    ids=["max", "avg", "blur"],
+)
+def test_oversized_windows_are_refused_before_the_gather(fn, stride, mib):
+    want = f"windows of {2**40} at stride {stride} over 8 samples need about {mib} MiB of indices"
+    with pytest.raises(ValueError, match=f"^{want}, over the 1024 MiB budget$"):
+        fn(np.arange(8.0), 2**40, 2)
+
+
 def test_stride_one_is_identity():
     np.testing.assert_array_equal(pool_max(X4, 1, 1), X4)
     np.testing.assert_array_equal(pool_stride(X4, 1), X4)

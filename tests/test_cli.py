@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fpool.cli as cli
 import fpool.pipeline as pipeline
@@ -461,6 +463,8 @@ class TestExitCodes:
             ("oddpad", "--n", "16", "--m", "0"),
             ("oddpad", "--n", "16", "--m", "-4"),
             ("oddpad", "--n", "16", "--m", "40"),
+            # oddpad used to run an 18 -> 4 plan, factor 4.5
+            ("oddpad", "--n", "18", "--stride", "4"),
             # transitivity sweeps every shift -n..n; a range would be ignored
             ("transitivity", "--shift-min", "-3"),
             ("transitivity", "--shift-max", "3"),
@@ -542,6 +546,44 @@ class TestExitCodes:
         features = r"classifier features 4x100000x100000 need about \d+ MiB, over the \d+ MiB budget"
         assert re.fullmatch(f"configuration error: {features}\n", proc.stderr)
 
+    @pytest.mark.parametrize(
+        "args,err",
+        [
+            (("oddpad", "--n", "16", "--shift-min", "-17"), "--shift-min -17 falls outside [-16, 16]"),
+            (("oddpad", "--n", "16", "--shift-max", "17"), "--shift-max 17 falls outside [-16, 16]"),
+            (("consistency", "--n", "8", "--shift-max", "9"), "--shift-max 9 falls outside [-8, 8]"),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, tuple) else "",
+    )
+    def test_a_shift_beyond_one_period_is_a_config_error(self, capsys, args, err):
+        assert cli.main(list(args)) == 2
+        assert capsys.readouterr() == ("", f"configuration error: {err}\n")
+
+    # the shift range and the baseline's window indices (745 GiB for the first
+    # window) used to be built before any check, and died of MemoryError
+    @pytest.mark.parametrize(
+        "args,err",
+        [
+            (("oddpad", "--n", "16", "--shift-min", "-99999999999"), r"--shift-min -99999999999 falls outside"),
+            (("consistency", "--n", "32", "--shift-max", "99999999"), r"--shift-max 99999999 falls outside"),
+            (("demo1d", "--window", "99999999999"), r"windows of 99999999999 .* MiB of indices, over"),
+            (
+                ("consistency", "--n", "4", "--pooling", "avg", "--window", "99999999999"),
+                r"windows of 99999999999 .* MiB of indices, over",
+            ),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, tuple) else "",
+    )
+    def test_oversized_ranges_and_gathers_are_config_errors(self, args, err):
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "fpool", *args], capture_output=True, text=True, preexec_fn=cap_memory
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert re.fullmatch(f"configuration error: {err}.*\n", proc.stderr)
+
     def test_missing_input_file_is_an_io_error(self):
         assert run_cli("demo1d", "--input", "missing.csv", check=False).returncode == 3
 
@@ -568,3 +610,75 @@ class TestExitCodes:
 
     def test_help_exits_zero(self):
         assert run_cli("--help").returncode == 0
+
+
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory):
+    """A directory with an image and a signal column, which also takes the
+    outputs of the argv property test."""
+    root = tmp_path_factory.mktemp("argv")
+    write_netpbm(root / "in.pgm", np.arange(256).reshape(16, 16) % 251)
+    (root / "in.csv").write_text("\n".join(map(str, np.sin(np.arange(16.0)))) + "\n")
+    return root
+
+
+def _flag_values(field, root):
+    """Values drawn for one flag: small and negative integers, and 2**40, which
+    a check must refuse before anything of that size is allocated."""
+    spec = cli._FLAGS[field]
+    if "choices" in spec:
+        return st.sampled_from(spec["choices"])
+    if spec.get("type") is int:
+        return st.one_of(st.integers(-3, 70), st.sampled_from([2**40, -(2**40)]))
+    if field == "input":
+        files = [str(root / name) for name in ("in.pgm", "in.csv", "missing.csv")]
+        return st.sampled_from(["smooth:0", "rand:3", "impulse", "tone:5"] + files)
+    if field == "output":
+        return st.sampled_from([str(root / "out.csv"), str(root / "out.pgm")])
+    raise AssertionError(f"no values for --{field}")
+
+
+@st.composite
+def _argv(draw, root):
+    command = draw(st.sampled_from(sorted(cli._USAGE)))
+    argv = [command]
+    for field in cli._USAGE[command][1].split():
+        if not draw(st.booleans()):
+            continue
+        flag = "--" + field.replace("_", "-")
+        if field == "odd_padding":
+            argv.append(draw(st.sampled_from([flag, "--no-odd-padding"])))
+        else:
+            argv += [flag, str(draw(_flag_values(field, root)))]
+    return argv
+
+
+@contextlib.contextmanager
+def _address_space_cap(extra=2**31):
+    """Cap this process's address space at ``extra`` bytes above its current
+    size, so that a missing check fails with MemoryError instead of taking
+    the machine's memory."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    in_use = int(Path("/proc/self/statm").read_text().split()[0]) * resource.getpagesize()
+    cap = in_use + extra if hard == resource.RLIM_INFINITY else min(hard, in_use + extra)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+class TestArgv:
+    """Every argv a command accepts exits 0, 2, 3 or 4 with no traceback, and
+    a failure writes one stderr line."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_any_flag_values_exit_cleanly(self, argv_files, data):
+        argv = data.draw(_argv(argv_files))
+        out, err = io.StringIO(), io.StringIO()
+        with _address_space_cap(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert code in (0, 2, 3, 4), argv
+        if code:
+            assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), (argv, err.getvalue())

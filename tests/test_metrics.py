@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from fft_oracle import kept_bins
 from sweep_oracle import per_shift_errors
 
 from fpool import pipeline
@@ -27,8 +28,7 @@ from fpool.pipeline import (
     random_conv1d,
     random_conv2d,
 )
-from fpool import pooling
-from fpool.pooling import kept_bins, make_plan, reconstruction_decomposition, unpool1d
+from fpool.pooling import make_plan, reconstruction_decomposition, unpool1d
 
 
 def _tail_energy(x, m, odd_padding=False):
@@ -42,18 +42,18 @@ class TestSweepResult:
     def test_summaries_and_exactness_flags(self):
         r = SweepResult(shifts=(-1, 0, 1), errors=(5e-10, 0.0, 2.0), input_norm=0.5)
         assert r.tolerance == 1e-9  # norm below 1 keeps the absolute floor
-        assert r.exact == (True, True, False)
         assert not r.all_exact
         assert r.max_error == 2.0
-        np.testing.assert_allclose(r.mean_error, (5e-10 + 2.0) / 3)
-        assert r.rows() == [(-1, 5e-10, True), (0, 0.0, True), (1, 2.0, False)]
+        assert SweepResult(shifts=(-1, 0), errors=(5e-10, 0.0), input_norm=0.5).all_exact
+        # a NaN error is never exact, whatever its place in max()'s ordering
+        assert not SweepResult(shifts=(0, 1), errors=(float("nan"), 0.0), input_norm=0.5).all_exact
 
     def test_exact_reads_the_tolerance_once(self):
-        r = SweepResult(shifts=tuple(range(40)), errors=(1e-9, 3e-9) * 20, input_norm=2.0)
+        r = SweepResult(shifts=tuple(range(40)), errors=(1e-9,) * 40, input_norm=2.0)
         with mock.patch.object(
             SweepResult, "tolerance", new_callable=mock.PropertyMock, return_value=2e-9
         ) as tolerance:
-            assert r.exact == (True, False) * 20
+            assert r.all_exact
         assert tolerance.call_count == 1
 
 
@@ -389,15 +389,22 @@ class TestRetentionAblation:
             assert abs(row.max_error - err_total) <= tol
 
     def test_ablation_runs_no_band_split(self, monkeypatch):
-        calls = []
-        split = pooling.low_band_component
-        monkeypatch.setattr(pooling, "low_band_component", lambda *a: calls.append(a) or split(*a))
         rng = np.random.default_rng(6)
         corpus = [rng.standard_normal(n) for n in (32, 48, 30)]
-        retention_ablation([0.125, 0.25, 0.5], corpus)
+        rates = [0.125, 0.25, 0.5]
+        retention_ablation(rates, corpus)  # builds and caches the plans
+        calls = []
+
+        def refuse(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("np.fft called")
+
+        for name in ("fft", "ifft", "rfft", "irfft"):
+            monkeypatch.setattr(np.fft, name, refuse)
+        retention_ablation(rates, corpus)
+        reconstruction_decomposition(corpus[0], make_plan(32, 8))
+        reconstruction_decomposition(corpus[0], make_plan(32, 8), downsampled=np.ones(8))
         assert calls == []
-        reconstruction_decomposition(corpus[0], make_plan(32, 8))  # the split it skips
-        assert len(calls) == 1
 
 
 class TestConsistency:

@@ -139,10 +139,12 @@ class TestConvLayers:
         with pytest.raises(ValueError):
             Conv2d(np.zeros((1, 1, 3)))
 
-    def test_random_inits_record_their_seed(self):
-        assert random_conv1d(11, 1, 2, 3).seed == 11
-        assert random_conv2d(12, 1, 2, 3).seed == 12
-        assert random_linear(13, 4, 3).seed == 13
+    def test_random_inits_are_reproducible_from_their_seed(self):
+        for init, args in ((random_conv1d, (1, 2, 3)), (random_conv2d, (1, 2, 3)), (random_linear, (4, 3))):
+            layer = init(11, *args)
+            np.testing.assert_array_equal(init(11, *args).weights, layer.weights)
+            assert not np.array_equal(init(12, *args).weights, layer.weights)
+        np.testing.assert_array_equal(random_linear(13, 4, 3).bias, random_linear(13, 4, 3).bias)
 
 
 def _sequential_channel_sum(weights, x):

@@ -11,7 +11,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from fft_oracle import fft_pool, fft_unpool
+from fft_oracle import fft_pool, fft_unpool, kept_bins, low_band_component
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -22,8 +22,7 @@ from fpool.pooling import (
     ContractViolationError,
     FPoolPlan,
     _check_round_trip,
-    kept_bins,
-    low_band_component,
+    _kept_frequencies,
     make_plan,
     pool1d,
     pool2d,
@@ -134,11 +133,15 @@ class TestMakePlan:
             np.testing.assert_allclose(rt @ tone, tone, atol=1e-9)
 
     def test_kept_bins_bookkeeping(self):
-        np.testing.assert_array_equal(np.flatnonzero(kept_bins(16, 8)), [0, 1, 2, 3, 12, 13, 14, 15])
-        np.testing.assert_array_equal(np.flatnonzero(kept_bins(16, 8, True)), [0, 1, 2, 3, 13, 14, 15])
-        np.testing.assert_array_equal(np.flatnonzero(kept_bins(16, 5)), [0, 1, 2, 14, 15])
+        # the source bins of the plan's kept frequencies, the one production band
+        def bins(n, m, pad=False):
+            return sorted(_kept_frequencies(n, m, pad) % n)
+
+        assert bins(16, 8) == [0, 1, 2, 3, 12, 13, 14, 15]
+        assert bins(16, 8, True) == [0, 1, 2, 3, 13, 14, 15]
+        assert bins(16, 5) == [0, 1, 2, 14, 15]
         # m == n keeps everything, padding is a no-op there
-        assert kept_bins(6, 6, True).all()
+        assert bins(6, 6, True) == list(range(6))
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -155,8 +158,6 @@ class TestMakePlan:
         # int() would silently truncate 16.7 to 16 and read True as 1
         with pytest.raises(ValueError, match="must be an integer"):
             make_plan(n, m)
-        with pytest.raises(ValueError, match="must be an integer"):
-            kept_bins(n, m)
 
     def test_numpy_integer_sizes_are_accepted(self):
         plan = make_plan(np.int64(16), np.int32(4))
@@ -742,6 +743,7 @@ class TestReconstructionDecomposition:
             assert err_b > err_plan
 
     def test_low_band_component_matches_mask_oracle(self):
+        # the oracle's bin mask and the plan's complex round trip are one band
         rng = np.random.default_rng(24)
         for n, m, pad in [(32, 8, False), (32, 8, True), (21, 7, False)]:
             x = rng.standard_normal(n)
@@ -754,8 +756,11 @@ class TestReconstructionDecomposition:
                 keep[n - tail :] = True
             if pad and m % 2 == 0:
                 keep[n - m // 2] = False
+            np.testing.assert_array_equal(kept_bins(n, m, pad), keep)
             oracle = np.fft.ifft(np.where(keep, s, 0))
-            np.testing.assert_allclose(low_band_component(x, plan), oracle, atol=1e-10)
+            band = plan.inverse_matrix @ (plan.matrix @ x)
+            np.testing.assert_allclose(low_band_component(x, m, pad), oracle, atol=1e-10)
+            np.testing.assert_allclose(band, oracle, atol=1e-10)
 
 
 _NON_FINITE_TARGETS = {

@@ -8,7 +8,7 @@ from fft_oracle import dft, idft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpool.pooling import low_band_component, make_plan
+from fpool.pooling import make_plan, pool1d, unpool1d
 from fpool.spectral import circular_shift, dft_matrix, shift_phase, signed_frequency
 
 
@@ -116,6 +116,32 @@ def test_signed_frequency_layout():
     np.testing.assert_array_equal(signed_frequency(7), [0, 1, 2, 3, -3, -2, -1])
 
 
+# int() would shift 1.7 and True by 1, and a cache would keep a 3x3 matrix for 2.5
+@pytest.mark.parametrize(
+    "call,name",
+    [
+        (lambda v: circular_shift(np.arange(4.0), v), "shift"),
+        (signed_frequency, "n"),
+        (dft_matrix, "transform length"),
+    ],
+    ids=["circular_shift", "signed_frequency", "dft_matrix"],
+)
+@pytest.mark.parametrize("value", [1.7, 4.5, 2.5, 2.0, True, "2"])
+def test_sizes_and_shifts_obey_the_integer_rule(call, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        call(value)
+
+
+def test_sizes_below_one_keep_their_messages():
+    with pytest.raises(ValueError, match=r"^transform length must be >= 1, got 0$"):
+        dft_matrix(0)
+    with pytest.raises(ValueError, match=r"^n must be >= 1, got -3$"):
+        signed_frequency(-3)
+    # a NumPy integer is an integer
+    np.testing.assert_array_equal(signed_frequency(np.int64(4)), [0, 1, -2, -1])
+    np.testing.assert_array_equal(circular_shift(np.arange(3.0), np.int32(1)), [2.0, 0.0, 1.0])
+
+
 def test_shift_phase_zero_is_identity():
     s = dft(np.random.default_rng(3).standard_normal(10))
     np.testing.assert_array_equal(shift_phase(s, 0), s)
@@ -150,16 +176,16 @@ def test_fractional_shift_phase_of_tone():
 def _band_split(x, mu):
     """Split ``x`` at the symmetric band ``|f| <= mu - 1`` into ``(x_l, x_h)``.
 
-    The kept band of the odd-length plan ``n -> 2*mu - 1`` is that band, so
-    ``x_l`` is the plan's band component, real up to rounding.
+    The kept band of the odd-length plan ``n -> 2*mu - 1`` is that band, and
+    conjugate-symmetric, so the plan's real round trip is the band component.
     """
-    band = low_band_component(x, make_plan(len(x), 2 * mu - 1))
-    assert np.max(np.abs(band.imag)) <= 1e-9 * max(1.0, np.linalg.norm(x))
-    return band.real, x - band.real
+    plan = make_plan(len(x), 2 * mu - 1)
+    x_l = unpool1d(plan, pool1d(plan, x))
+    return x_l, x - x_l
 
 
 class TestLowHighSplit:
-    """The kept band's split through ``low_band_component``, the one band definition."""
+    """The kept band's split through the plan's round trip, the one band definition."""
 
     def test_constant_is_all_low(self):
         x = np.full(12, 2.5)
