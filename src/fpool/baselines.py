@@ -71,37 +71,40 @@ def _checked(x, kind: PoolingKind):
     if x.ndim < 1 or x.shape[-1] < 1:
         raise ValueError(f"signal must have a nonempty trailing axis, got shape {x.shape}")
     kind.pooled(x.shape[-1])
-    return x, x.shape[-1]
+    return x
 
 
-def _window_index(n: int, stride: int, window: int) -> np.ndarray:
-    """Indices ``(n/stride, window)`` of each circular window, one per stride
-    step; refused before they are made when they exceed the build budget."""
-    what = f"windows of {window} at stride {stride} over {n} samples need about {{mib}} MiB of indices"
-    _check_budget(8 * (n // stride) * window, what)
+def _gather_windows(x: np.ndarray, stride: int, window: int) -> np.ndarray:
+    """The circular windows ``(..., n/stride, window)`` of ``x``'s trailing
+    axis, one per stride step; refused before the gather when the windows and
+    their index exceed the build budget."""
+    n = x.shape[-1]
+    rows, lead = n // stride, x.size // n
+    what = f"windows of {window} at stride {stride} over {lead}x{n} samples"
+    _check_budget(8 * (lead + 1) * rows * window, what + " need about {mib} MiB with their index")
     starts = np.arange(0, n, stride)
-    return (starts[:, None] + np.arange(window)[None, :]) % n
+    return x[..., (starts[:, None] + np.arange(window)[None, :]) % n]
 
 
 def pool_max(x, window: int | None, stride: int) -> np.ndarray:
     """Max over circular windows of the given width (None: the stride), one
     per stride step."""
     kind = PoolingKind("max", stride, window)
-    x, n = _checked(x, kind)
-    return x[..., _window_index(n, stride, kind.effective_window)].max(axis=-1)
+    x = _checked(x, kind)
+    return _gather_windows(x, stride, kind.effective_window).max(axis=-1)
 
 
 def pool_avg(x, window: int | None, stride: int) -> np.ndarray:
     """Mean over circular windows of the given width (None: the stride), one
     per stride step."""
     kind = PoolingKind("avg", stride, window)
-    x, n = _checked(x, kind)
-    return x[..., _window_index(n, stride, kind.effective_window)].mean(axis=-1)
+    x = _checked(x, kind)
+    return _gather_windows(x, stride, kind.effective_window).mean(axis=-1)
 
 
 def pool_stride(x, stride: int) -> np.ndarray:
     """Keep every stride-th sample, starting at index 0."""
-    x, _ = _checked(x, PoolingKind("stride", stride))
+    x = _checked(x, PoolingKind("stride", stride))
     return x[..., ::stride].copy()
 
 
@@ -114,8 +117,8 @@ def pool_blur_stride(x, stride: int, window: int | None = None) -> np.ndarray:
     stride-th.
     """
     kind = PoolingKind("blur", stride, window)
-    x, n = _checked(x, kind)
-    blurred = x[..., _window_index(n, 1, kind.effective_window)].mean(axis=-1)
+    x = _checked(x, kind)
+    blurred = _gather_windows(x, 1, kind.effective_window).mean(axis=-1)
     return blurred[..., ::stride].copy()
 
 

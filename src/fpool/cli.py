@@ -25,10 +25,10 @@ import numpy as np
 from .baselines import BASELINE_KINDS, PoolingKind
 from .netpbm import read_netpbm, write_netpbm
 from .pipeline import Pipeline, Pool1d, Pool2d, toy_classifier_predictions
-from .pooling import EXACTNESS_TOL, ContractViolationError, make_plan, pool1d, unpool1d
+from .pooling import EXACTNESS_TOL, ContractViolationError, _check_budget, make_plan, pool1d, unpool1d
 from .metrics import consistency_from_predictions, shift_sweep, transitivity_report
 from .signals import is_signal_spec, load_signal_column, make_signal
-from .spectral import _positive_integer, circular_shift
+from .spectral import _positive_integer, _seed, circular_shift
 
 __all__ = ["ExperimentConfig", "main"]
 
@@ -109,7 +109,7 @@ def _load_1d_input(config: ExperimentConfig, make_plans):
         pixels, maxval, _ = read_netpbm(spec)
         if pixels.ndim == 3:
             pixels = pixels.mean(axis=2)
-        row = int(np.random.default_rng(config.seed).integers(pixels.shape[0]))
+        row = int(np.random.default_rng(_seed(config.seed)).integers(pixels.shape[0]))
         config.input_row = row
         x = pixels[row] / maxval
     elif spec.endswith(".csv"):
@@ -188,6 +188,10 @@ def cmd_oddpad(config: ExperimentConfig) -> int:
         config.m = m
         if m % 2:  # make_plan refuses an m outside [1, n]
             raise ValueError(f"the padding study needs even m, got {m}")
+        # in doubles: two m x n plans, the signal, its complex spectrum, the
+        # edge-zeroed copy (complex, then real) and a sweep's two tiled windows
+        need = 8 * (2 * m * n + n + 2 * n + 3 * n + 2 * 2 * n)
+        _check_budget(need, f"oddpad {n}->{m} needs about {{mib}} MiB to run")
         return make_plan(n, m, True), make_plan(n, m, False)
 
     x, (padded, unpadded) = _load_1d_input(config, plans_for)

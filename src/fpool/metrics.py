@@ -11,7 +11,7 @@ import numpy as np
 from .baselines import PoolingKind
 from .pooling import EXACTNESS_TOL, _check_real_1d, _round_trip, make_plan
 from .pipeline import Pipeline, Pool1d, ReLU, _shift_vector, _spatial_ndim, _sweep_errors
-from .spectral import _require_integer
+from .spectral import _require_integer, _seed
 
 __all__ = [
     "RetentionRow",
@@ -92,6 +92,7 @@ def transitivity_report(
     inverse (the two bin selections compose into one); the report measures
     it rather than assuming it.
     """
+    seed = _seed(seed)
     n, m1, m2 = sizes
     # the plans refuse sizes that are not n >= m1 >= m2 >= 1, or too large to
     # build, before the input is drawn

@@ -7,12 +7,13 @@ call.  Convolutions always have stride 1 (a strided convolution is
 represented as conv followed by a pooling layer, which is the whole point of
 the replacement rules).  The harness measures how far a pipeline is from
 commuting with cyclic shifts once its output is carried back to input
-resolution by an upsampler.  It evaluates a set of shifts as one batch:
-the unshifted reference is processed once, one index gather builds the
-shifted inputs, and one forward and one upsampling run per chunk of shifts,
-with at most 4,096 doubles in any stage array of a chunk.  Shifts are
-cyclic, so ``d`` and ``d - n`` share one start and each distinct start is
-evaluated once.
+resolution by an upsampler.  One engine runs a pipeline on shifted copies
+of an input, for the harness and the toy classifier alike: one index
+gather (one roll per sample for a large input) builds the shifted inputs,
+and one forward runs per chunk of shifts, with at most 4,096 doubles in
+any stage array of a chunk.  Shifts are cyclic, so ``d`` and ``d - n``
+share one start and each distinct start is evaluated once.  The harness
+processes the unshifted reference once.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .pooling import (
     unpool1d,
     unpool2d,
 )
-from .spectral import _positive_integer, _require_integer
+from .spectral import _positive_integer, _require_integer, _seed
 
 __all__ = [
     "Conv1d",
@@ -312,13 +313,13 @@ def random_conv2d(seed: int, c_in: int, c_out: int, kernel: int, padding: str = 
 
 def _random_conv(cls, seed, c_in, c_out, kernel, padding):
     """Seeded weights ``(c_out, c_in) + (kernel,) * spatial``, scaled by the fan-in."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(seed))
     w = rng.standard_normal((c_out, c_in) + (kernel,) * cls.spatial) / np.sqrt(c_in * kernel**cls.spatial)
     return cls(w, padding=padding)
 
 
 def random_linear(seed: int, c_in: int, c_out: int) -> Linear:
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(seed))
     w = rng.standard_normal((c_out, c_in)) / np.sqrt(c_in)
     return Linear(w, bias=0.1 * rng.standard_normal(c_out))
 
@@ -385,17 +386,48 @@ def _as_upsampler(upsampler, in_shape, out_shape):
     raise ValueError(f"cannot interpret upsampler {upsampler!r}")
 
 
+def _shifted_runs(pipeline: Pipeline, x, deltas, reduce, reduce_doubles: int = 0) -> np.ndarray:
+    """``reduce(index, outputs)`` of ``pipeline`` run on ``x`` shifted by each
+    row of the ``(S, spatial)`` integer shifts ``deltas``, one row per shift
+    in the order and number of ``deltas``.
+
+    Rolling by ``d`` starts a window at ``-d mod n``, so ``d`` and ``d - n``
+    share one start.  Each distinct start is made once and run once, a chunk
+    of samples at a time, so that no stage array of a chunk, nor the
+    ``reduce_doubles`` per sample of ``reduce``, holds more than
+    ``_SWEEP_CHUNK_DOUBLES`` doubles (a chunk is one sample when a sample
+    alone holds more).  The starts are gathered from ``_shift_windows``,
+    whose tile is held through every forward, when that tile fits the same
+    bound; a larger input is rolled one sample at a time.  ``reduce`` takes
+    the chunk's per-axis start arrays and its pipeline outputs.
+    """
+    largest = max(reduce_doubles, *(math.prod(shape) for shape in pipeline.stage_shapes))
+    chunk = max(1, _SWEEP_CHUNK_DOUBLES // largest)
+    period = x.shape[1:]
+    flat = np.ravel_multi_index(tuple((-deltas % period).T), period)
+    distinct, inverse = np.unique(flat, return_inverse=True)
+    starts = np.unravel_index(distinct, period)
+    axes = tuple(range(1, x.ndim))
+    inputs = _shift_windows(x) if x.size * 2 ** len(axes) <= _SWEEP_CHUNK_DOUBLES else None
+    rows = []
+    for start in range(0, len(distinct), chunk):
+        index = tuple(axis[start : start + chunk] for axis in starts)
+        if inputs is None:
+            batch = np.stack([np.roll(x, [-s for s in row], axes) for row in zip(*index)])
+        else:
+            batch = inputs[index]
+        rows.append(reduce(index, pipeline.forward(batch)[-1]))
+    return np.concatenate(rows)[inverse]
+
+
 def _sweep_errors(pipeline: Pipeline, upsampler, deltas, x) -> np.ndarray:
     """Equivalence error of ``x`` at each row of the ``(S, spatial)`` integer
     shifts ``deltas``.
 
     The reference, process-then-upsample of ``x``, is computed once and
     shifted by gathering; the shifted inputs run through the pipeline and the
-    upsampler as batches of samples, a chunk at a time, so that no stage
-    array of a chunk holds more than ``_SWEEP_CHUNK_DOUBLES`` doubles (a
-    chunk is one sample when a sample alone holds more).  Each distinct
-    cyclic start runs once, since ``d`` and ``d - n`` gather the same rows;
-    the errors come back in the order and number of ``deltas``.
+    upsampler on :func:`_shifted_runs`, whose chunks also bound the upsampled
+    outputs.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != pipeline.input_shape:
@@ -405,24 +437,17 @@ def _sweep_errors(pipeline: Pipeline, upsampler, deltas, x) -> np.ndarray:
     if reference.shape[:1] + reference.shape[2:] != (1,) + x.shape[1:]:
         raise ValueError("upsampler does not restore input resolution")
     reference = reference[0]
-    largest = max(math.prod(shape) for shape in pipeline.stage_shapes + (reference.shape,))
-    chunk = max(1, _SWEEP_CHUNK_DOUBLES // largest)
-    # rolling by d starts a window at -d mod n, so d and d - n share one start
-    period = x.shape[1:]
-    flat = np.ravel_multi_index(tuple((-deltas % period).T), period)
-    distinct, inverse = np.unique(flat, return_inverse=True)
-    starts = np.unravel_index(distinct, period)
-    inputs, references = _shift_windows(x), _shift_windows(reference)
-    errors = np.empty(len(distinct))
-    for start in range(0, len(distinct), chunk):
-        index = tuple(axis[start : start + chunk] for axis in starts)
+    references = _shift_windows(reference)
+
+    def errors(index, outputs):
         size = len(index[0])
-        out = up(pipeline.forward(inputs[index])[-1])
+        out = up(outputs)
         if np.shape(out) != (size,) + reference.shape:
             raise ValueError(f"upsampler returned {np.shape(out)} for {size} samples")
         gap = np.abs(references[index] - out)
-        errors[start : start + size] = gap.reshape(size, -1).max(axis=1)
-    return errors[inverse]
+        return gap.reshape(size, -1).max(axis=1)
+
+    return _shifted_runs(pipeline, x, deltas, errors, reference.size)
 
 
 def equivalence_error(pipeline: Pipeline, upsampler, delta_t, x) -> float:
@@ -461,8 +486,10 @@ def toy_classifier_predictions(
     probability rows, and the class predicted at zero shift (the designated
     class whose probability spread the consistency study reports).  The
     network is a 3x3 convolution to ``channels`` feature maps, ReLU, the
-    pooling layer, a global average and a linear head over 3 classes.
+    pooling layer, a global average and a linear head over 3 classes; each
+    distinct cyclic start runs once, so ``d`` and ``d - size`` cost one.
     """
+    seed = _seed(seed)
     size = _positive_integer(size, "classifier size")
     channels = _positive_integer(channels, "channels")
     kind = PoolingKind(pooling, stride, window)
@@ -474,12 +501,14 @@ def toy_classifier_predictions(
     shifts = [_require_integer(d, "shift") for d in shifts]
     if not shifts:
         raise ValueError("at least one shift is required")
+    # the network splits where the spatial axes end: the body runs on the
+    # shift engine, the head takes one sample at a time
     conv = random_conv2d(seed, 1, channels, 3, padding=conv_padding)
-    head = random_linear(seed + 1, channels, 3)
-    net = Pipeline((conv, ReLU(), Pool2d(kind, plan, plan), GlobalAvg(), head, Softmax()), (1, size, size))
-    rng = np.random.default_rng(seed + 2)
-    x = rng.standard_normal((1, size, size))
-    probs = np.stack([net.forward(np.roll(x, (d, d), axis=(1, 2)))[-1] for d in shifts])
+    body = Pipeline((conv, ReLU(), Pool2d(kind, plan, plan)), (1, size, size))
+    head = Pipeline((GlobalAvg(), random_linear(seed + 1, channels, 3), Softmax()), body.output_shape)
+    x = np.random.default_rng(seed + 2).standard_normal((1, size, size))
+    deltas = np.outer([d % size for d in shifts], (1, 1))  # diagonal shifts, one period
+    probs = _shifted_runs(body, x, deltas, lambda _, ys: np.stack([head.forward(y)[-1] for y in ys]))
     labels = [int(np.argmax(p)) for p in probs]
     designated = labels[shifts.index(0)] if 0 in shifts else labels[0]
     return labels, probs, designated

@@ -18,7 +18,8 @@ against.
 
 The package's integer rule lives here too, the module every other one
 imports: every size, stride, window and shift is an integer (a NumPy
-integer too, never a float or a bool), and every size is at least 1.
+integer too, never a float or a bool), every size is at least 1 and every
+seed at least 0.
 """
 
 from __future__ import annotations
@@ -53,6 +54,15 @@ def _positive_integer(value, name: str) -> int:
     value = _require_integer(value, name)
     if value < 1:
         raise ValueError(f"{name} must be >= 1, got {value}")
+    return value
+
+
+def _seed(value) -> int:
+    """``value`` as an ``int`` of at least 0: the one check of every seed
+    before it reaches ``np.random.default_rng``."""
+    value = _require_integer(value, "seed")
+    if value < 0:
+        raise ValueError(f"seed must be >= 0, got {value}")
     return value
 
 

@@ -38,21 +38,22 @@ def test_window_none_is_the_stride():
         np.testing.assert_array_equal(fn(x, None, 2), fn(x, 2, 2))
 
 
-# the window indices are refused before they are made: n/s * window entries
-# for max and avg, n * window for blur (its windows step by 1), 8 bytes each
+# the gathered windows and their index are refused before they are made:
+# n/s * window entries per row of x and once more for the index for max and
+# avg, n * window for blur (its windows step by 1), 8 bytes each
 @pytest.mark.parametrize(
     "fn, stride, mib",
     [
-        (pool_max, 2, 2**25),
-        (pool_avg, 2, 2**25),
-        (lambda x, w, s: pool_blur_stride(x, s, w), 1, 2**26),
+        (pool_max, 2, 3 * 2**25),
+        (pool_avg, 2, 3 * 2**25),
+        (lambda x, w, s: pool_blur_stride(x, s, w), 1, 3 * 2**26),
     ],
     ids=["max", "avg", "blur"],
 )
 def test_oversized_windows_are_refused_before_the_gather(fn, stride, mib):
-    want = f"windows of {2**40} at stride {stride} over 8 samples need about {mib} MiB of indices"
+    want = f"windows of {2**40} at stride {stride} over 2x8 samples need about {mib} MiB with their index"
     with pytest.raises(ValueError, match=f"^{want}, over the 1024 MiB budget$"):
-        fn(np.arange(8.0), 2**40, 2)
+        fn(np.arange(16.0).reshape(2, 8), 2**40, 2)
 
 
 def test_stride_one_is_identity():

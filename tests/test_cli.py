@@ -509,6 +509,8 @@ class TestExitCodes:
     # the plans these need (19 GiB to 284 PiB) are refused before any
     # allocation; the child's address space is capped in case one is not.
     # The last three used to draw their signal first and die of MemoryError.
+    # oddpad counts its two plans together with its signal and sweep, so its
+    # own count refuses them first.
     @pytest.mark.parametrize(
         "args",
         [
@@ -528,7 +530,8 @@ class TestExitCodes:
             [sys.executable, "-m", "fpool", *args], capture_output=True, text=True, preexec_fn=cap_memory
         )
         assert proc.returncode == 2 and proc.stdout == ""
-        assert re.fullmatch(r"configuration error: plan \d+->\d+ needs about \d+ MiB .*budget\n", proc.stderr)
+        what = "oddpad" if args[0] == "oddpad" else "plan"
+        assert re.fullmatch(f"configuration error: {what} \\d+->\\d+ needs about \\d+ MiB .*budget\n", proc.stderr)
 
     # a baseline builds no plan; its 1 x 100000 x 100000 input alone would be
     # 80 GB, so the classifier's features are bounded before they are made
@@ -560,17 +563,24 @@ class TestExitCodes:
         assert capsys.readouterr() == ("", f"configuration error: {err}\n")
 
     # the shift range and the baseline's window indices (745 GiB for the first
-    # window) used to be built before any check, and died of MemoryError
+    # window) used to be built before any check, and died of MemoryError; so
+    # did the baseline's 32 GiB of gathered windows, whose index passed, and
+    # oddpad's signal, spectrum and sweep next to two plans that each passed
     @pytest.mark.parametrize(
         "args,err",
         [
             (("oddpad", "--n", "16", "--shift-min", "-99999999999"), r"--shift-min -99999999999 falls outside"),
             (("consistency", "--n", "32", "--shift-max", "99999999"), r"--shift-max 99999999 falls outside"),
-            (("demo1d", "--window", "99999999999"), r"windows of 99999999999 .* MiB of indices, over"),
+            (("demo1d", "--window", "99999999999"), r"windows of 99999999999 .* MiB with their index, over"),
             (
                 ("consistency", "--n", "4", "--pooling", "avg", "--window", "99999999999"),
-                r"windows of 99999999999 .* MiB of indices, over",
+                r"windows of 99999999999 .* MiB with their index, over",
             ),
+            (
+                ("consistency", "--n", "512", "--pooling", "max", "--window", "4096", "--stride", "1"),
+                r"windows of 4096 at stride 1 over 2048x512 samples need about \d+ MiB with their index, over",
+            ),
+            (("oddpad", "--n", "20000000", "--m", "2"), r"oddpad 20000000->2 needs about \d+ MiB to run, over"),
         ],
         ids=lambda v: " ".join(v) if isinstance(v, tuple) else "",
     )
@@ -583,6 +593,30 @@ class TestExitCodes:
         )
         assert proc.returncode == 2 and proc.stdout == ""
         assert re.fullmatch(f"configuration error: {err}.*\n", proc.stderr)
+
+    # a negative seed used to reach numpy, whose message names no flag;
+    # demo1d reads a seed only to pick an image row
+    @pytest.mark.parametrize(
+        "args",
+        [("transitivity", "--seed", "-3"), ("consistency", "--seed", "-1"), ("demo1d", "--stride", "2", "--seed", "-2")],
+        ids=" ".join,
+    )
+    def test_a_negative_seed_is_named_in_the_message(self, tmp_path, args):
+        image = tmp_path / "in.pgm"
+        write_netpbm(image, np.arange(64).reshape(8, 8))
+        image_input = ("--input", str(image)) if args[0] == "demo1d" else ()
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "fpool", *args, *image_input],
+            capture_output=True,
+            text=True,
+            preexec_fn=cap_memory,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"configuration error: seed must be >= 0, got {args[-1]}\n"
 
     def test_missing_input_file_is_an_io_error(self):
         assert run_cli("demo1d", "--input", "missing.csv", check=False).returncode == 3

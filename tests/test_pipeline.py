@@ -33,6 +33,7 @@ from fpool.metrics import transitivity_report
 from fpool.pooling import make_plan, pool1d
 
 from conv_oracle import einsum_conv
+from sweep_oracle import per_shift_probabilities
 
 
 def _conv1d_loop(w, x, padding):
@@ -145,6 +146,26 @@ class TestConvLayers:
             np.testing.assert_array_equal(init(11, *args).weights, layer.weights)
             assert not np.array_equal(init(12, *args).weights, layer.weights)
         np.testing.assert_array_equal(random_linear(13, 4, 3).bias, random_linear(13, 4, 3).bias)
+
+    # every seed is checked before it reaches np.random.default_rng, whose own
+    # message names no parameter
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda seed: random_conv1d(seed, 1, 2, 3),
+            lambda seed: random_conv2d(seed, 1, 2, 3),
+            lambda seed: random_linear(seed, 4, 3),
+            lambda seed: transitivity_report(seed, (8, 4, 2)),
+            lambda seed: toy_classifier_predictions(seed, [0], size=8),
+        ],
+        ids=["conv1d", "conv2d", "linear", "transitivity", "classifier"],
+    )
+    def test_seeds_are_non_negative_integers(self, call):
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -3$"):
+            call(-3)
+        with pytest.raises(ValueError, match="^seed must be an integer, got True$"):
+            call(True)
+        call(np.int64(0))
 
 
 def _sequential_channel_sum(weights, x):
@@ -475,6 +496,42 @@ class TestToyClassifier:
         with pytest.raises(ValueError):
             toy_classifier_predictions(0, [])
 
+    # (size, stride, channels): a chunk of 32, 28, 4 and 1 samples; every
+    # shift of two periods, so d and d - size alias, repeated entries, and a
+    # shift beyond int64
+    @pytest.mark.parametrize("size, stride, channels", [(8, 2, 2), (12, 3, 1), (16, 4, 4), (64, 4, 2)])
+    @pytest.mark.parametrize("conv_padding", ["circular", "zero"])
+    @pytest.mark.parametrize("odd_padding", [False, True])
+    @pytest.mark.parametrize("pooling", ALL_KINDS)
+    def test_predictions_match_the_per_shift_loop_bit_for_bit(
+        self, pooling, odd_padding, conv_padding, size, stride, channels
+    ):
+        seed = size + odd_padding
+        shifts = [3, 0] + list(range(-size, size + 1)) + [-1, 3, 2**64 + 3]
+        kwargs = dict(
+            pooling=pooling,
+            size=size,
+            channels=channels,
+            stride=stride,
+            conv_padding=conv_padding,
+            odd_padding=odd_padding,
+            window=3 if pooling == "max" else None,
+        )
+        labels, probs, designated = toy_classifier_predictions(seed, shifts, **kwargs)
+        want = per_shift_probabilities(seed, shifts, **kwargs)
+        assert probs.tobytes() == want.tobytes()
+        assert labels == [int(np.argmax(p)) for p in want]
+        assert designated == labels[1]  # shift 0 sits at index 1
+
+    def test_each_distinct_start_runs_once(self, monkeypatch):
+        # the consistency --n 4 case: 15 shifts, 4 distinct diagonal starts,
+        # one chunk
+        samples = []
+        apply = Conv2d.apply
+        monkeypatch.setattr(Conv2d, "apply", lambda self, x: samples.append(len(x)) or apply(self, x))
+        toy_classifier_predictions(0, range(-7, 8), size=4)
+        assert samples == [4]
+
     # sha256 of the probabilities at the benchmark's 128x128x8 size, recorded
     # with the tap-by-tap einsum convolution
     DIGESTS = {
@@ -506,9 +563,10 @@ class TestToyClassifier:
             toy_classifier_predictions(0, [0], pooling="max", channels=channels)
 
     def test_features_over_the_budget_are_refused(self, monkeypatch):
-        # 2 channels of 16x16 doubles are 4 KiB, one byte over this budget
+        # 2 channels of 16x16 doubles are 4 KiB, one byte over this budget;
+        # stride pooling gathers nothing, so no other count reaches it
         monkeypatch.setattr("fpool.pooling.PLAN_BUILD_BYTES", 4095)
         with pytest.raises(ValueError, match="classifier features 2x16x16 need about .* over the .* budget"):
-            toy_classifier_predictions(0, [0], pooling="max", size=16, channels=2)
+            toy_classifier_predictions(0, [0], pooling="stride", size=16, channels=2)
         monkeypatch.setattr("fpool.pooling.PLAN_BUILD_BYTES", 4096)
-        assert len(toy_classifier_predictions(0, [0], pooling="max", size=16, channels=2)[0]) == 1
+        assert len(toy_classifier_predictions(0, [0], pooling="stride", size=16, channels=2)[0]) == 1
