@@ -25,7 +25,15 @@ import numpy as np
 from .baselines import BASELINE_KINDS, PoolingKind
 from .netpbm import read_netpbm, write_netpbm
 from .pipeline import Pipeline, Pool1d, Pool2d, toy_classifier_predictions
-from .pooling import EXACTNESS_TOL, ContractViolationError, _check_budget, make_plan, pool1d, unpool1d
+from .pooling import (
+    EXACTNESS_TOL,
+    ContractViolationError,
+    _check_budget,
+    _signal_norm,
+    make_plan,
+    pool1d,
+    unpool1d,
+)
 from .metrics import consistency_from_predictions, shift_sweep, transitivity_report
 from .signals import is_signal_spec, load_signal_column, make_signal
 from .spectral import _positive_integer, _seed, circular_shift
@@ -100,7 +108,8 @@ def _write_rows(config: ExperimentConfig, rows) -> None:
 def _load_1d_input(config: ExperimentConfig, make_plans):
     """Resolve --input into a signal (a spec, a CSV column, or an image row),
     returned with ``make_plans(n)`` of its length ``n = config.n``; for a
-    spec the plans come first, so a length they refuse is never drawn."""
+    spec the plans come first, so a length they refuse is never drawn, and
+    a file's signal must have a finite norm before any plan is built."""
     spec = config.input or "smooth:0"
     if is_signal_spec(spec):
         plans = make_plans(config.n)
@@ -119,6 +128,7 @@ def _load_1d_input(config: ExperimentConfig, make_plans):
             f"--input {spec!r} is neither a signal spec (impulse, tone:F, rand:S, smooth:S) "
             "nor a .csv/.pgm/.ppm path"
         )
+    _signal_norm(x, f"--input {spec}")
     config.n = x.shape[0]
     return x, make_plans(config.n)
 
@@ -140,6 +150,7 @@ def cmd_demo1d(config: ExperimentConfig) -> int:
     x, plan = _load_1d_input(config, plan_for)
     n, m = config.n, config.m
     delta = config.shift
+    tol = EXACTNESS_TOL * max(1.0, _signal_norm(x, "x"))
     rows = []
     for kind in kinds:
         pool = Pool1d(kind, plan)
@@ -152,7 +163,7 @@ def cmd_demo1d(config: ExperimentConfig) -> int:
         rows.extend((j, f"{kind.kind}/pool_up_shift", v) for j, v in enumerate(first.tolist()))
         rows.extend((j, f"{kind.kind}/shift_pool_up", v) for j, v in enumerate(second.tolist()))
         rows.append((delta, f"{kind.kind}/gap", gap))
-        if kind.kind == "fpool" and plan.symmetric_band and gap > EXACTNESS_TOL * max(1.0, float(np.linalg.norm(x))):
+        if kind.kind == "fpool" and plan.symmetric_band and gap > tol:
             raise ContractViolationError(
                 f"frequency pooling gap {gap:.3e} exceeds tolerance with a symmetric band"
             )

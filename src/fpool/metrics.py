@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import PoolingKind
-from .pooling import EXACTNESS_TOL, _check_real_1d, _round_trip, make_plan
+from .pooling import EXACTNESS_TOL, _check_real_1d, _round_trip, _signal_norm, make_plan
 from .pipeline import Pipeline, Pool1d, ReLU, _shift_vector, _spatial_ndim, _sweep_errors
 from .spectral import _require_integer, _seed
 
@@ -61,7 +61,9 @@ def shift_sweep(pipeline: Pipeline, upsampler, shifts, x) -> SweepResult:
     Shifts must be integers (a float or a bool is a ``ValueError``, not
     truncated) and stay within one full period of the input's trailing
     axis; anything larger only repeats an earlier column and usually
-    signals a caller bug.
+    signals a caller bug.  The tolerance scales with the norm of ``x``, so
+    a NaN or infinite entry, or a squared norm that overflows a double, is
+    a ``ValueError`` before anything runs.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
@@ -71,10 +73,11 @@ def shift_sweep(pipeline: Pipeline, upsampler, shifts, x) -> SweepResult:
     out_of_range = [d for d in shifts if not -n <= d <= n]
     if out_of_range:
         raise ValueError(f"shifts {out_of_range} fall outside [-{n}, {n}]")
+    input_norm = _signal_norm(x, "x")
     # an image's scalar shift is diagonal: d * (1, 1)
     deltas = np.outer(shifts, _shift_vector(1, _spatial_ndim(pipeline.input_shape)))
     errors = _sweep_errors(pipeline, upsampler, deltas, x)
-    return SweepResult(tuple(shifts), tuple(errors.tolist()), float(np.linalg.norm(x)))
+    return SweepResult(tuple(shifts), tuple(errors.tolist()), input_norm)
 
 
 def transitivity_report(
@@ -102,7 +105,7 @@ def transitivity_report(
     x = np.random.default_rng(seed).standard_normal((1, n))
     fp = PoolingKind("fpool", max(1, n // m1))
     stage1 = Pipeline((Pool1d(fp, plan1),), (1, n))
-    z = stage1.forward(x)[-1]
+    z = stage1.forward(x)
     stage2 = Pipeline((ReLU(), Pool1d(fp, plan2)), (1, m1))
     nonlinear = Pipeline((Pool1d(fp, plan1), ReLU(), Pool1d(fp, plan2)), (1, n))
     linear = Pipeline((Pool1d(fp, plan1), Pool1d(fp, plan2)), (1, n))

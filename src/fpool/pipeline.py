@@ -283,13 +283,15 @@ class Pipeline:
     def output_shape(self) -> tuple[int, ...]:
         return self.stage_shapes[-1]
 
-    def forward(self, x) -> list[np.ndarray]:
-        """Run the pipeline, returning the input and every stage output.
+    def forward(self, x) -> np.ndarray:
+        """Run the pipeline and return its output.
 
-        ``x`` is one input of ``input_shape`` or a batch ``(S,) +
-        input_shape`` of samples, which every layer takes in one call.  A
-        batch needs spatial features at every stage: the head layers
-        (GlobalAvg, Linear, Softmax) take one sample.
+        Only the stage being computed is held: each stage is freed as soon
+        as the next layer returns.  Stage ``k`` is the output of a pipeline
+        of ``layers[:k]``.  ``x`` is one input of ``input_shape`` or a batch
+        ``(S,) + input_shape`` of samples, which every layer takes in one
+        call.  A batch needs spatial features at every stage: the head
+        layers (GlobalAvg, Linear, Softmax) take one sample.
         """
         x = np.asarray(x, dtype=float)
         batched = x.shape[1:] == self.input_shape
@@ -297,10 +299,9 @@ class Pipeline:
             raise ValueError(f"input shape {x.shape} does not match {self.input_shape}")
         if batched and any(len(s) < 2 for s in self.stage_shapes):
             raise ValueError("a batch of samples needs spatial features at every stage")
-        outs = [x]
         for layer in self.layers:
-            outs.append(layer.apply(outs[-1]))
-        return outs
+            x = layer.apply(x)
+        return x
 
 
 def random_conv1d(seed: int, c_in: int, c_out: int, kernel: int, padding: str = "circular") -> Conv1d:
@@ -416,7 +417,7 @@ def _shifted_runs(pipeline: Pipeline, x, deltas, reduce, reduce_doubles: int = 0
             batch = np.stack([np.roll(x, [-s for s in row], axes) for row in zip(*index)])
         else:
             batch = inputs[index]
-        rows.append(reduce(index, pipeline.forward(batch)[-1]))
+        rows.append(reduce(index, pipeline.forward(batch)))
     return np.concatenate(rows)[inverse]
 
 
@@ -433,7 +434,7 @@ def _sweep_errors(pipeline: Pipeline, upsampler, deltas, x) -> np.ndarray:
     if x.shape != pipeline.input_shape:
         raise ValueError(f"input shape {x.shape} does not match {pipeline.input_shape}")
     up = _as_upsampler(upsampler, pipeline.input_shape, pipeline.output_shape)
-    reference = np.asarray(up(pipeline.forward(x[np.newaxis])[-1]))
+    reference = np.asarray(up(pipeline.forward(x[np.newaxis])))
     if reference.shape[:1] + reference.shape[2:] != (1,) + x.shape[1:]:
         raise ValueError("upsampler does not restore input resolution")
     reference = reference[0]
@@ -508,7 +509,7 @@ def toy_classifier_predictions(
     head = Pipeline((GlobalAvg(), random_linear(seed + 1, channels, 3), Softmax()), body.output_shape)
     x = np.random.default_rng(seed + 2).standard_normal((1, size, size))
     deltas = np.outer([d % size for d in shifts], (1, 1))  # diagonal shifts, one period
-    probs = _shifted_runs(body, x, deltas, lambda _, ys: np.stack([head.forward(y)[-1] for y in ys]))
+    probs = _shifted_runs(body, x, deltas, lambda _, ys: np.stack([head.forward(y) for y in ys]))
     labels = [int(np.argmax(p)) for p in probs]
     designated = labels[shifts.index(0)] if 0 in shifts else labels[0]
     return labels, probs, designated

@@ -336,6 +336,19 @@ def _finite_norm(x: np.ndarray, name: str) -> float:
     return norm
 
 
+def _signal_norm(x: np.ndarray, name: str) -> float:
+    """Euclidean norm of ``x``, which must be finite: ``ValueError`` if an
+    entry is NaN or infinite, or if finite entries square past the largest
+    double, and no RuntimeWarning either way.  The kernels accept such huge
+    finite entries (:func:`_finite_norm`); a tolerance scaled by the norm
+    cannot."""
+    with np.errstate(over="ignore"):
+        norm = _finite_norm(x, name)
+    if not math.isfinite(norm):
+        raise ValueError(f"{name} is too large: its squared norm overflows a double")
+    return norm
+
+
 def _check_real_1d(x, length: int | None, name: str) -> np.ndarray:
     """``x`` as a finite float vector, of ``length`` unless that is None."""
     x = np.asarray(x, dtype=float)

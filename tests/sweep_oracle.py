@@ -36,8 +36,8 @@ def per_shift_errors(pipeline, upsampler, shifts, x):
     errors = []
     for d in shifts:
         delta = tuple(int(v) for v in np.broadcast_to(d, len(axes)))
-        reference = up(pipeline.forward(x)[-1])
-        shifted = up(pipeline.forward(np.roll(x, delta, axis=axes))[-1])
+        reference = up(pipeline.forward(x))
+        shifted = up(pipeline.forward(np.roll(x, delta, axis=axes)))
         errors.append(float(np.max(np.abs(np.roll(reference, delta, axis=axes) - shifted))))
     return tuple(errors)
 
@@ -61,4 +61,4 @@ def per_shift_probabilities(
     head = random_linear(seed + 1, channels, 3)
     net = Pipeline((conv, ReLU(), Pool2d(kind, plan, plan), GlobalAvg(), head, Softmax()), (1, size, size))
     x = np.random.default_rng(seed + 2).standard_normal((1, size, size))
-    return np.stack([net.forward(np.roll(x, (d, d), axis=(1, 2)))[-1] for d in shifts])
+    return np.stack([net.forward(np.roll(x, (d, d), axis=(1, 2))) for d in shifts])

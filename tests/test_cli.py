@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import io
+import math
 import re
 import resource
 import shlex
@@ -621,6 +622,33 @@ class TestExitCodes:
     def test_missing_input_file_is_an_io_error(self):
         assert run_cli("demo1d", "--input", "missing.csv", check=False).returncode == 3
 
+    # a norm that overflowed used to pass every gap as exact, or reach the FFT
+    # and the kernels: demo1d wrote nan rows and oddpad refused finite input,
+    # each after a run of RuntimeWarnings (errors here, by the pytest config)
+    @pytest.mark.parametrize("command", ["demo1d", "oddpad"])
+    @pytest.mark.parametrize(
+        "column",
+        [
+            ["0"] * 3 + ["1e308", "0", "-1e308"] + ["0"] * 10,
+            ["1e308"] * 16,
+            ["1e200"],
+            ["0.5"] * 3 + ["inf", "0.5", "nan"] + ["0.5"] * 10,
+        ],
+        ids=["plus-minus-1e308", "all-1e308", "single-1e200", "inf-nan"],
+    )
+    def test_an_input_column_without_a_finite_norm_is_refused(self, tmp_path, command, column):
+        path = tmp_path / "in.csv"
+        path.write_text("\n".join(column) + "\n")
+        if all(math.isfinite(float(v)) for v in column):
+            message = "is too large: its squared norm overflows a double"
+        else:
+            message = "contains NaN or infinite values"
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([command, "--stride", "2", "--input", str(path)])
+        assert (code, out.getvalue()) == (2, "")
+        assert err.getvalue() == f"configuration error: --input {path} {message}\n"
+
     # a sample beyond int64 used to escape the reader as OverflowError
     @pytest.mark.parametrize("raster", [b"-5\n", b"99999999999999999999\n"])
     def test_malformed_p2_samples_are_io_errors(self, tmp_path, raster):
@@ -648,11 +676,18 @@ class TestExitCodes:
 
 @pytest.fixture(scope="module")
 def argv_files(tmp_path_factory):
-    """A directory with an image and a signal column, which also takes the
-    outputs of the argv property test."""
+    """A directory with an image and three signal columns (one clean, one
+    whose squared norm overflows, one with inf and nan), which also takes
+    the outputs of the argv property test."""
     root = tmp_path_factory.mktemp("argv")
     write_netpbm(root / "in.pgm", np.arange(256).reshape(16, 16) % 251)
-    (root / "in.csv").write_text("\n".join(map(str, np.sin(np.arange(16.0)))) + "\n")
+    column = np.sin(np.arange(16.0))
+    (root / "in.csv").write_text("\n".join(map(str, column)) + "\n")
+    # finite samples whose squares overflow, and samples that are not finite
+    column[3], column[5] = 1e308, -1e308
+    (root / "huge.csv").write_text("\n".join(map(str, column)) + "\n")
+    column[3], column[5] = np.inf, np.nan
+    (root / "nonfinite.csv").write_text("\n".join(map(str, column)) + "\n")
     return root
 
 
@@ -665,7 +700,8 @@ def _flag_values(field, root):
     if spec.get("type") is int:
         return st.one_of(st.integers(-3, 70), st.sampled_from([2**40, -(2**40)]))
     if field == "input":
-        files = [str(root / name) for name in ("in.pgm", "in.csv", "missing.csv")]
+        names = ("in.pgm", "in.csv", "huge.csv", "nonfinite.csv", "missing.csv")
+        files = [str(root / name) for name in names]
         return st.sampled_from(["smooth:0", "rand:3", "impulse", "tone:5"] + files)
     if field == "output":
         return st.sampled_from([str(root / "out.csv"), str(root / "out.pgm")])
@@ -716,3 +752,6 @@ class TestArgv:
         assert code in (0, 2, 3, 4), argv
         if code:
             assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), (argv, err.getvalue())
+        else:
+            rows = [line.rsplit(",", 1) for line in out.getvalue().splitlines() if not line.startswith("#")]
+            assert all(math.isfinite(float(value)) for _, value in rows[1:]), argv

@@ -119,6 +119,15 @@ class TestShiftSweep:
         with pytest.raises(ValueError):
             shift_sweep(net, lambda y: y, [], x)
 
+    def test_an_input_whose_squared_norm_overflows_is_refused(self):
+        # the tolerance scales with the input's norm: at inf every error passed
+        net = Pipeline((Pool1d(PoolingKind("max", 2)),), (1, 16))
+        plan = make_plan(16, 8)
+        x = np.random.default_rng(10).standard_normal((1, 16))
+        assert not shift_sweep(net, plan, range(-16, 17), x).all_exact
+        with pytest.raises(ValueError, match="x is too large: its squared norm overflows a double"):
+            shift_sweep(net, plan, range(-16, 17), x * 1e200)
+
     @pytest.mark.parametrize("bad", [0.5, 1.7, 2.5, True, np.float64(2.0)])
     def test_shifts_must_be_integers(self, bad):
         # a float shift used to be truncated: [0.5, 1.7] swept (0, 1), and

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -260,7 +261,7 @@ class TestSimpleLayers:
             monkeypatch.setattr(pipeline, name, counted)
         plan = make_plan(16, 4)
         net = Pipeline((Pool1d(PoolingKind("fpool", 4), plan),), (3, 16))
-        pooled = net.forward(np.random.default_rng(5).standard_normal((3, 16)))[-1]
+        pooled = net.forward(np.random.default_rng(5).standard_normal((3, 16)))
         pipeline._as_upsampler(plan, net.input_shape, net.output_shape)(pooled)
         assert calls == [("pool1d", (3, 16)), ("unpool1d", (3, 4))]
 
@@ -294,9 +295,7 @@ class TestPipeline:
     def test_empty_pipeline_is_identity(self):
         net = Pipeline((), (1, 8))
         x = np.arange(8.0).reshape(1, 8)
-        outs = net.forward(x)
-        assert len(outs) == 1
-        np.testing.assert_array_equal(outs[-1], x)
+        np.testing.assert_array_equal(net.forward(x), x)
         assert net.output_shape == (1, 8)
 
     def test_delta_kernel_conv_is_identity(self):
@@ -325,8 +324,8 @@ class TestPipeline:
         layer = (Pool1d if len(shape) == 2 else Pool2d)(PoolingKind(kind, 2), *plans)
         net = Pipeline((layer,), shape)
         x = np.random.default_rng(13).standard_normal(shape)
-        assert net.forward(x)[-1].shape == net.stage_shapes[-1]
-        assert net.forward(x[np.newaxis])[-1].shape == (1,) + net.stage_shapes[-1]
+        assert net.forward(x).shape == net.stage_shapes[-1]
+        assert net.forward(x[np.newaxis]).shape == (1,) + net.stage_shapes[-1]
 
     def test_incompatible_layers_fail_at_construction(self):
         with pytest.raises(ValueError):
@@ -334,13 +333,26 @@ class TestPipeline:
         with pytest.raises(ValueError):
             Pipeline((Pool1d(PoolingKind("avg", 5)),), (1, 16))  # 5 does not divide 16
 
-    def test_forward_returns_every_stage(self):
-        net = Pipeline((ReLU(), GlobalAvg()), (2, 8))
-        x = np.random.default_rng(5).standard_normal((2, 8))
-        outs = net.forward(x)
-        assert len(outs) == 3
-        np.testing.assert_array_equal(outs[0], x)
-        assert outs[-1].shape == (2,)
+    def test_forward_holds_one_stage(self):
+        # the second layer keeps a weak reference to stage 1, its input; by the
+        # time the third layer runs, forward must have let go of it (both
+        # probes keep the shape, so they take ReLU's out_shape)
+        stage1 = []
+
+        class Keep(ReLU):
+            def apply(self, x):
+                stage1.append(weakref.ref(x))
+                return x + 1.0
+
+        class Check(ReLU):
+            def apply(self, x):
+                assert stage1[0]() is None, "forward still holds stage 1"
+                return x
+
+        net = Pipeline((ReLU(), Keep(), Check(), GlobalAvg()), (2, 8))
+        out = net.forward(np.random.default_rng(5).standard_normal((2, 8)))
+        assert isinstance(out, np.ndarray) and out.shape == (2,)
+        assert len(stage1) == 1
 
     def test_forward_takes_a_batch_of_samples(self):
         rng = np.random.default_rng(12)
@@ -349,10 +361,14 @@ class TestPipeline:
                 (random_conv2d(3, 2, 3, 3, padding), ReLU(), Pool2d(PoolingKind("max", 2))), (2, 8, 6)
             )
             batch = rng.standard_normal((5, 2, 8, 6))
-            outs = net.forward(batch)
-            assert [o.shape for o in outs] == [(5,) + s for s in net.stage_shapes]
-            for sample, out in zip(batch, outs[-1]):
-                np.testing.assert_array_equal(out, net.forward(sample)[-1])
+            stage = batch
+            for layer, shape in zip(net.layers, net.stage_shapes[1:]):
+                stage = layer.apply(stage)
+                assert stage.shape == (5,) + shape
+            pooled = net.forward(batch)
+            np.testing.assert_array_equal(pooled, stage)
+            for sample, out in zip(batch, pooled):
+                np.testing.assert_array_equal(out, net.forward(sample))
         head = Pipeline((ReLU(), GlobalAvg(), Softmax()), (2, 8))
         with pytest.raises(ValueError, match="spatial features at every stage"):
             head.forward(np.zeros((3, 2, 8)))
