@@ -5,8 +5,8 @@ the length.  None of them is shift-equivalent under coupled upsampling
 (the tests exhibit witnesses); they exist to be compared against.
 
 The kind ``"blur"`` is a circular box filter (width: the stride, or
-``window``) followed by subsampling.  That is average pooling, bit for bit;
-it is not BlurPool's binomial filter.
+``window``) followed by subsampling.  That is average pooling, so it
+dispatches to :func:`pool_avg`; it is not BlurPool's binomial filter.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ __all__ = [
     "PoolingKind",
     "pool_avg",
     "pool_baseline",
-    "pool_blur_stride",
     "pool_max",
     "pool_stride",
     "replace_rule",
@@ -86,12 +85,32 @@ def _gather_windows(x: np.ndarray, stride: int, window: int) -> np.ndarray:
     return x[..., (starts[:, None] + np.arange(window)[None, :]) % n]
 
 
+def _reduce_windows(x: np.ndarray, stride: int, window: int, ufunc, identity: float) -> np.ndarray:
+    """``ufunc`` reduced over each circular window of ``x``'s trailing axis,
+    one window per stride step.
+
+    Windows of the stride's width, below 8, fold the strided slices
+    ``x[..., j::stride]`` in order onto ``identity``, with no index gather,
+    into a C-contiguous output.  numpy reduces fewer than 8 elements in
+    sequence too (a sum from 0.0), so the bits are the gathered reduction's,
+    signed zeros included.  A longer reduction may pair its sums or run in
+    vector lanes, so wider windows, like windows that differ from the
+    stride, are gathered by :func:`_gather_windows`, under its budget.
+    """
+    if window == stride and stride < 8:
+        out = np.full(x[..., ::stride].shape, identity)
+        for j in range(stride):
+            ufunc(out, x[..., j::stride], out=out)
+        return out
+    return ufunc.reduce(_gather_windows(x, stride, window), axis=-1)
+
+
 def pool_max(x, window: int | None, stride: int) -> np.ndarray:
     """Max over circular windows of the given width (None: the stride), one
     per stride step."""
     kind = PoolingKind("max", stride, window)
     x = _checked(x, kind)
-    return _gather_windows(x, stride, kind.effective_window).max(axis=-1)
+    return _reduce_windows(x, stride, kind.effective_window, np.maximum, -np.inf)
 
 
 def pool_avg(x, window: int | None, stride: int) -> np.ndarray:
@@ -99,27 +118,14 @@ def pool_avg(x, window: int | None, stride: int) -> np.ndarray:
     per stride step."""
     kind = PoolingKind("avg", stride, window)
     x = _checked(x, kind)
-    return _gather_windows(x, stride, kind.effective_window).mean(axis=-1)
+    total = _reduce_windows(x, stride, kind.effective_window, np.add, 0.0)
+    return np.divide(total, kind.effective_window, out=total)
 
 
 def pool_stride(x, stride: int) -> np.ndarray:
     """Keep every stride-th sample, starting at index 0."""
     x = _checked(x, PoolingKind("stride", stride))
     return x[..., ::stride].copy()
-
-
-def pool_blur_stride(x, stride: int, window: int | None = None) -> np.ndarray:
-    """Circular box filter (width ``window``, default the stride) followed by
-    subsampling.
-
-    It equals ``pool_avg(x, window or stride, stride)`` bit for bit, which
-    the tests pin down, but filters all ``n`` samples before it keeps every
-    stride-th.
-    """
-    kind = PoolingKind("blur", stride, window)
-    x = _checked(x, kind)
-    blurred = _gather_windows(x, 1, kind.effective_window).mean(axis=-1)
-    return blurred[..., ::stride].copy()
 
 
 def pool_baseline(kind: PoolingKind, x) -> np.ndarray:
@@ -131,7 +137,7 @@ def pool_baseline(kind: PoolingKind, x) -> np.ndarray:
     if kind.kind == "stride":
         return pool_stride(x, kind.stride)
     if kind.kind == "blur":
-        return pool_blur_stride(x, kind.stride, kind.window)
+        return pool_avg(x, kind.effective_window, kind.stride)
     raise ValueError(f"{kind.kind!r} is not a classical baseline; build a pooling plan instead")
 
 

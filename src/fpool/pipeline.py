@@ -226,7 +226,9 @@ class GlobalAvg:
         return (shape[0],)
 
     def apply(self, x):
-        x = np.asarray(x, dtype=float)
+        # one summation order whatever the layout: a strided view's mean
+        # sums in sequence, a contiguous one's pairwise
+        x = np.ascontiguousarray(x, dtype=float)
         return x.reshape(x.shape[0], -1).mean(axis=1)
 
 
@@ -292,15 +294,24 @@ class Pipeline:
         ``(S,) + input_shape`` of samples, which every layer takes in one
         call.  A batch needs spatial features at every stage: the head
         layers (GlobalAvg, Linear, Softmax) take one sample.
+
+        A layer's ``apply`` returns an array that nobody else holds, as every
+        layer here does.  So a plain :class:`ReLU` (its exact type, not a
+        subclass) overwrites a stage that an earlier layer made, rather than
+        making a second one; ``x``, and any stage that shares memory with it,
+        is never written.
         """
-        x = np.asarray(x, dtype=float)
+        x = given = np.asarray(x, dtype=float)
         batched = x.shape[1:] == self.input_shape
         if x.shape != self.input_shape and not batched:
             raise ValueError(f"input shape {x.shape} does not match {self.input_shape}")
         if batched and any(len(s) < 2 for s in self.stage_shapes):
             raise ValueError("a batch of samples needs spatial features at every stage")
         for layer in self.layers:
-            x = layer.apply(x)
+            if type(layer) is ReLU and not np.may_share_memory(x, given):
+                np.maximum(x, 0.0, out=x)
+            else:
+                x = layer.apply(x)
         return x
 
 

@@ -42,7 +42,6 @@ PUBLIC = {
         "PoolingKind",
         "pool_avg",
         "pool_baseline",
-        "pool_blur_stride",
         "pool_max",
         "pool_stride",
         "replace_rule",

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,23 +10,29 @@ from fpool.baselines import (
     PoolingKind,
     pool_avg,
     pool_baseline,
-    pool_blur_stride,
     pool_max,
     pool_stride,
     replace_rule,
 )
-from fpool.pipeline import Pool2d
+from fpool.pipeline import Pool1d, Pool2d
 from fpool.pooling import make_plan, pool1d, unpool1d
 from fpool.spectral import circular_shift
 
+from window_oracle import gathered_pool
+
 X4 = np.array([1.0, 3.0, 5.0, 7.0])
+
+
+def blur(x, window, stride):
+    """The blur kind through its dispatch, in pool_max's argument order."""
+    return pool_baseline(PoolingKind("blur", stride, window), x)
 
 
 def test_frozen_examples():
     np.testing.assert_array_equal(pool_max(X4, 2, 2), [3.0, 7.0])
     np.testing.assert_array_equal(pool_avg(X4, 2, 2), [2.0, 6.0])
     np.testing.assert_array_equal(pool_stride(X4, 2), [1.0, 5.0])
-    np.testing.assert_array_equal(pool_blur_stride(X4, 2), [2.0, 6.0])
+    np.testing.assert_array_equal(blur(X4, None, 2), [2.0, 6.0])
 
 
 def test_max_window_wraps_circularly():
@@ -34,24 +42,16 @@ def test_max_window_wraps_circularly():
 
 def test_window_none_is_the_stride():
     x = np.arange(8.0)
-    for fn in (pool_max, pool_avg, lambda x, w, s: pool_blur_stride(x, s, w)):
+    for fn in (pool_max, pool_avg, blur):
         np.testing.assert_array_equal(fn(x, None, 2), fn(x, 2, 2))
 
 
 # the gathered windows and their index are refused before they are made:
-# n/s * window entries per row of x and once more for the index for max and
-# avg, n * window for blur (its windows step by 1), 8 bytes each
-@pytest.mark.parametrize(
-    "fn, stride, mib",
-    [
-        (pool_max, 2, 3 * 2**25),
-        (pool_avg, 2, 3 * 2**25),
-        (lambda x, w, s: pool_blur_stride(x, s, w), 1, 3 * 2**26),
-    ],
-    ids=["max", "avg", "blur"],
-)
-def test_oversized_windows_are_refused_before_the_gather(fn, stride, mib):
-    want = f"windows of {2**40} at stride {stride} over 2x8 samples need about {mib} MiB with their index"
+# n/s * window entries per row of x and once more for the index, 8 bytes
+# each; blur is average pooling, so it counts n/s rows as well
+@pytest.mark.parametrize("fn", [pool_max, pool_avg, blur], ids=["max", "avg", "blur"])
+def test_oversized_windows_are_refused_before_the_gather(fn):
+    want = f"windows of {2**40} at stride 2 over 2x8 samples need about {3 * 2**25} MiB with their index"
     with pytest.raises(ValueError, match=f"^{want}, over the 1024 MiB budget$"):
         fn(np.arange(16.0).reshape(2, 8), 2**40, 2)
 
@@ -68,19 +68,48 @@ def test_stride_one_is_identity():
     st.sampled_from([None, 1, 2, 3, 5, 8]),
     st.integers(0, 2**32 - 1),
 )
-def test_blur_stride_equals_average_pooling(stride, blocks, box, seed):
+def test_blur_layers_equal_average_pooling_layers(stride, blocks, box, seed):
     """A box filter before subsampling is average pooling, bit for bit."""
     x = np.random.default_rng(seed).uniform(-100, 100, (stride * blocks,) * 2)
     width = stride if box is None else box
-    np.testing.assert_array_equal(pool_blur_stride(x, stride, box), pool_avg(x, width, stride))
+    one = Pool1d(PoolingKind("blur", stride, box)).apply(x)
+    assert one.tobytes() == Pool1d(PoolingKind("avg", stride, width)).apply(x).tobytes()
     # the 2-D layer also pools the height axis, through a transposed view
-    blur, avg = Pool2d(PoolingKind("blur", stride, box)), Pool2d(PoolingKind("avg", stride, box))
-    np.testing.assert_array_equal(blur.apply(x), avg.apply(x))
+    two = Pool2d(PoolingKind("blur", stride, box)).apply(x)
+    assert two.tobytes() == Pool2d(PoolingKind("avg", stride, width)).apply(x).tobytes()
+
+
+# signed zeros side by side, infinities whose sum is NaN, and finite values
+SAMPLES = st.one_of(st.sampled_from([0.0, -0.0, np.inf, -np.inf]), st.floats(-1e300, 1e300))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 8),
+    st.integers(1, 5),
+    st.lists(st.integers(1, 3), max_size=2),
+    st.integers(0, 2**32 - 1),
+    st.data(),
+)
+def test_strided_kernels_equal_the_gathered_windows_bit_for_bit(stride, rows, lead, seed, data):
+    shape = tuple(lead) + (rows * stride,)
+    drawn = np.array(data.draw(st.lists(SAMPLES, min_size=math.prod(shape), max_size=math.prod(shape))))
+    normal = np.random.default_rng(seed).standard_normal(shape)
+    # the layer pools its height axis through a transposed view
+    for x in (drawn.reshape(shape), normal, np.ascontiguousarray(normal.T).T):
+        for fn, reduce in ((pool_max, np.max), (pool_avg, np.mean), (blur, np.mean)):
+            with np.errstate(invalid="ignore", over="ignore"):
+                got, want = fn(x, None, stride), gathered_pool(x, stride, stride, reduce)
+            assert got.shape == want.shape
+            # NaN is NaN: which NaN an add returns depends on operand order
+            nan = np.isnan(want)
+            assert np.array_equal(np.isnan(got), nan)
+            assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
 def test_divisibility_is_required():
     x = np.arange(10.0)
-    for fn in (lambda: pool_max(x, 4, 4), lambda: pool_avg(x, 4, 4), lambda: pool_stride(x, 4), lambda: pool_blur_stride(x, 4)):
+    for fn in (lambda: pool_max(x, 4, 4), lambda: pool_avg(x, 4, 4), lambda: pool_stride(x, 4), lambda: blur(x, None, 4)):
         with pytest.raises(ValueError):
             fn()
 
@@ -95,8 +124,8 @@ def test_divisibility_is_required():
         (lambda x, v: pool_avg(x, v, 2), "window"),
         (lambda x, v: pool_avg(x, 2, v), "stride"),
         (lambda x, v: pool_stride(x, v), "stride"),
-        (lambda x, v: pool_blur_stride(x, v), "stride"),
-        (lambda x, v: pool_blur_stride(x, 2, v), "window"),
+        (lambda x, v: blur(x, None, v), "stride"),
+        (lambda x, v: blur(x, v, 2), "window"),
     ],
     ids=["max-window", "max-stride", "avg-window", "avg-stride", "stride-stride", "blur-stride", "blur-window"],
 )

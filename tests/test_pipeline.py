@@ -31,7 +31,7 @@ from fpool.pipeline import (
 )
 from fpool import metrics
 from fpool.metrics import transitivity_report
-from fpool.pooling import make_plan, pool1d
+from fpool.pooling import EXACTNESS_TOL, make_plan, pool1d
 
 from conv_oracle import einsum_conv
 from sweep_oracle import per_shift_probabilities
@@ -215,6 +215,51 @@ def test_conv_matches_the_einsum_oracle_bit_for_bit(spatial, c_in, c_out, kernel
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+def _layout_probes():
+    """(name, layer, input shape): every layer kind on 1-D and 2-D features,
+    pooling by 3 and, for max, also through a gathered window of 5."""
+    probes = [("linear", random_linear(0, 4, 3), (4,)), ("softmax", Softmax(), (4,))]
+    for spatial, pool in ((1, Pool1d), (2, Pool2d)):
+        shape = (3,) + (6, 9)[2 - spatial :]
+        plans = tuple(make_plan(n, n // 3) for n in shape[1:])
+        probes.append((f"relu{spatial}d", ReLU(), shape))
+        probes.append((f"global-avg{spatial}d", GlobalAvg(), shape))
+        for padding in ("circular", "zero"):
+            conv = (random_conv1d, random_conv2d)[spatial - 1](1, 3, 2, 3, padding)
+            probes.append((f"conv{spatial}d-{padding}", conv, shape))
+        for kind in ALL_KINDS:
+            layer = pool(PoolingKind(kind, 3), *(plans if kind == "fpool" else ()))
+            probes.append((f"{kind}{spatial}d", layer, shape))
+        probes.append((f"max{spatial}d-window5", pool(PoolingKind("max", 3, 5)), shape))
+    return probes
+
+
+LAYOUT_PROBES = _layout_probes()
+
+# copies of x whose memory is not C-ordered: channels (the first axis)
+# innermost, as a gathered pooling returns them; Fortran order; and every
+# other entry of a wider array
+MEMORY_LAYOUTS = {
+    "channels-innermost": lambda x: np.moveaxis(np.moveaxis(x, 0, -1).copy(), -1, 0),
+    "fortran": np.asfortranarray,
+    "strided": lambda x: np.repeat(x, 2, axis=-1)[..., ::2],
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(LAYOUT_PROBES),
+    st.sampled_from(sorted(MEMORY_LAYOUTS)),
+    st.integers(0, 2**32 - 1),
+)
+def test_every_layer_gives_the_same_bits_for_every_memory_layout(probe, layout, seed):
+    name, layer, shape = probe
+    x = np.random.default_rng(seed).standard_normal(shape)
+    copy = MEMORY_LAYOUTS[layout](x)
+    assert np.array_equal(copy, x)
+    assert layer.apply(copy).tobytes() == layer.apply(x).tobytes(), f"{name} depends on memory layout"
+
+
 class TestSimpleLayers:
     def test_relu(self):
         np.testing.assert_array_equal(ReLU().apply(np.array([-1.0, 0.0, 2.5])), [0.0, 0.0, 2.5])
@@ -268,8 +313,8 @@ class TestSimpleLayers:
     # strides of the (8, 32, 32) output at the benchmark's 128x128x8 size
     LAYOUTS = {
         "fpool": (8192, 256, 8),
-        "max": (8, 2048, 64),
-        "avg": (8, 2048, 64),
+        "max": (8192, 8, 256),
+        "avg": (8192, 8, 256),
         "blur": (8192, 8, 256),
         "stride": (8192, 8, 256),
     }
@@ -353,6 +398,34 @@ class TestPipeline:
         out = net.forward(np.random.default_rng(5).standard_normal((2, 8)))
         assert isinstance(out, np.ndarray) and out.shape == (2,)
         assert len(stage1) == 1
+
+    def test_relu_after_a_layer_overwrites_that_layers_output(self):
+        made = []
+
+        class Recorded(Conv2d):
+            def apply(self, x):
+                out = super().apply(x)
+                made.append(weakref.ref(out))
+                return out
+
+        conv = random_conv2d(2, 1, 3, 3)
+        net = Pipeline((Recorded(conv.weights), ReLU()), (1, 6, 5))
+        x = np.random.default_rng(7).standard_normal((1, 6, 5))
+        out = net.forward(x)
+        assert made[0]() is out
+        assert out.tobytes() == ReLU().apply(conv.apply(x)).tobytes()
+
+    def test_forward_never_writes_the_callers_array(self):
+        class View(ReLU):  # returns a view of its input, the caller's array
+            def apply(self, x):
+                return x[...]
+
+        x = np.random.default_rng(8).standard_normal((2, 8))
+        kept = x.copy()
+        for layers in ((ReLU(),), (View(), ReLU()), (View(), ReLU(), ReLU())):
+            out = Pipeline(layers, (2, 8)).forward(x)
+            assert x.tobytes() == kept.tobytes()
+            assert out.tobytes() == np.maximum(kept, 0.0).tobytes()
 
     def test_forward_takes_a_batch_of_samples(self):
         rng = np.random.default_rng(12)
@@ -548,13 +621,33 @@ class TestToyClassifier:
         toy_classifier_predictions(0, range(-7, 8), size=4)
         assert samples == [4]
 
+    # a contract that holds whatever order the layers round in: after a
+    # circular conv, ReLU and a global average, fpool and average pooling
+    # (blur is average pooling) leave every class probability unchanged by
+    # any shift, up to rounding; max pooling does not
+    @pytest.mark.parametrize("pooling", ["fpool", "avg", "blur", "max"])
+    def test_probability_spread_is_within_the_exactness_tolerance(self, pooling):
+        spread = 0.0
+        for size, stride in ((32, 4), (64, 2), (30, 3), (128, 4), (48, 8)):
+            for seed in range(3):
+                # the odd padding only changes fpool's plans
+                for odd_padding in (False, True) if pooling == "fpool" else (False,):
+                    probs = toy_classifier_predictions(
+                        seed, range(size), pooling=pooling, size=size, stride=stride, odd_padding=odd_padding
+                    )[1]
+                    spread = max(spread, np.ptp(probs, axis=0).max())
+        if pooling == "max":
+            assert spread > EXACTNESS_TOL
+        else:
+            assert spread <= EXACTNESS_TOL
+
     # sha256 of the probabilities at the benchmark's 128x128x8 size, recorded
     # with the tap-by-tap einsum convolution
     DIGESTS = {
         ("fpool", 0): "0f5480a6819a8aeb5d68685db08b6e71de977d9b3e5ad1914ad6f3f5d04a06e3",
         ("fpool", 1): "cc43f09b4dae296b8102fb3542c0ff16ac22e80a12d6f696033ad6168cb3953c",
-        ("max", 0): "e28d37ee1d77bf3f2e227d9bc2db40c561d598f806e0fb268d81f9fd245ea4d6",
-        ("max", 1): "cf137254a4b9bfe72042e6633b2465e9be940392addf7ff975582b57a905ce69",
+        ("max", 0): "0b4d54bcb8e1a34fe027ed743df83ddfac02b6f22d4bd3632e644ee6c1367448",
+        ("max", 1): "4b545f050f47f73c943a659c75864b1280ce8dd538c6159426d2ad564a29208f",
         ("blur", 0): "075cc8258940bd04eba45d37d83b7639dc31abe2af9d441904a281f7a6e9fec9",
         ("blur", 1): "cc43f09b4dae296b8102fb3542c0ff16ac22e80a12d6f696033ad6168cb3953c",
     }
