@@ -5,8 +5,8 @@ the length.  None of them is shift-equivalent under coupled upsampling
 (the tests exhibit witnesses); they exist to be compared against.
 
 The kind ``"blur"`` is a circular box filter (width: the stride, or
-``window``) followed by subsampling.  That is average pooling, so it
-dispatches to :func:`pool_avg`; it is not BlurPool's binomial filter.
+``window``) followed by subsampling.  That is average pooling, and it is
+pooled as such; it is not BlurPool's binomial filter.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pooling import _check_budget
+from .pooling import _check_budget, _real_array
 from .spectral import _positive_integer
 
 __all__ = [
@@ -65,14 +65,6 @@ class PoolingKind:
         return n // self.stride
 
 
-def _checked(x, kind: PoolingKind):
-    x = np.asarray(x, dtype=float)
-    if x.ndim < 1 or x.shape[-1] < 1:
-        raise ValueError(f"signal must have a nonempty trailing axis, got shape {x.shape}")
-    kind.pooled(x.shape[-1])
-    return x
-
-
 def _gather_windows(x: np.ndarray, stride: int, window: int) -> np.ndarray:
     """The circular windows ``(..., n/stride, window)`` of ``x``'s trailing
     axis, one per stride step; refused before the gather when the windows and
@@ -85,60 +77,58 @@ def _gather_windows(x: np.ndarray, stride: int, window: int) -> np.ndarray:
     return x[..., (starts[:, None] + np.arange(window)[None, :]) % n]
 
 
-def _reduce_windows(x: np.ndarray, stride: int, window: int, ufunc, identity: float) -> np.ndarray:
-    """``ufunc`` reduced over each circular window of ``x``'s trailing axis,
-    one window per stride step.
+def _pool(kind: PoolingKind, x: np.ndarray) -> np.ndarray:
+    """The classical baseline ``kind`` over the trailing axis of an array
+    that :func:`fpool.pooling._real_array` returned.
 
-    Windows of the stride's width, below 8, fold the strided slices
-    ``x[..., j::stride]`` in order onto ``identity``, with no index gather,
-    into a C-contiguous output.  numpy reduces fewer than 8 elements in
-    sequence too (a sum from 0.0), so the bits are the gathered reduction's,
-    signed zeros included.  A longer reduction may pair its sums or run in
-    vector lanes, so wider windows, like windows that differ from the
-    stride, are gathered by :func:`_gather_windows`, under its budget.
+    Max and average reduce each circular window, one per stride step.  A
+    window of the stride's width, below 8, folds the strided slices
+    ``x[..., j::stride]`` in order onto the reduction's identity, into a
+    C-contiguous output: numpy reduces fewer than 8 elements in sequence
+    too (a sum from 0.0), so the bits, signed zeros included, are the
+    gathered reduction's.  A longer one may pair its sums or run in vector
+    lanes, so wider windows, and windows that differ from the stride, are
+    gathered by :func:`_gather_windows`, under its budget.
     """
+    if kind.kind not in BASELINE_KINDS:
+        raise ValueError(f"{kind.kind!r} is not a classical baseline; build a pooling plan instead")
+    if x.ndim < 1 or x.shape[-1] < 1:
+        raise ValueError(f"signal must have a nonempty trailing axis, got shape {x.shape}")
+    kind.pooled(x.shape[-1])
+    stride, window = kind.stride, kind.effective_window
+    if kind.kind == "stride":
+        return x[..., ::stride].copy()
+    ufunc, identity = (np.maximum, -np.inf) if kind.kind == "max" else (np.add, 0.0)
     if window == stride and stride < 8:
         out = np.full(x[..., ::stride].shape, identity)
         for j in range(stride):
             ufunc(out, x[..., j::stride], out=out)
-        return out
-    return ufunc.reduce(_gather_windows(x, stride, window), axis=-1)
+    else:
+        out = ufunc.reduce(_gather_windows(x, stride, window), axis=-1)
+    return out if kind.kind == "max" else np.divide(out, window, out=out)
 
 
 def pool_max(x, window: int | None, stride: int) -> np.ndarray:
     """Max over circular windows of the given width (None: the stride), one
     per stride step."""
-    kind = PoolingKind("max", stride, window)
-    x = _checked(x, kind)
-    return _reduce_windows(x, stride, kind.effective_window, np.maximum, -np.inf)
+    return _pool(PoolingKind("max", stride, window), _real_array(x, "x"))
 
 
 def pool_avg(x, window: int | None, stride: int) -> np.ndarray:
     """Mean over circular windows of the given width (None: the stride), one
     per stride step."""
-    kind = PoolingKind("avg", stride, window)
-    x = _checked(x, kind)
-    total = _reduce_windows(x, stride, kind.effective_window, np.add, 0.0)
-    return np.divide(total, kind.effective_window, out=total)
+    return _pool(PoolingKind("avg", stride, window), _real_array(x, "x"))
 
 
 def pool_stride(x, stride: int) -> np.ndarray:
     """Keep every stride-th sample, starting at index 0."""
-    x = _checked(x, PoolingKind("stride", stride))
-    return x[..., ::stride].copy()
+    return _pool(PoolingKind("stride", stride), _real_array(x, "x"))
 
 
 def pool_baseline(kind: PoolingKind, x) -> np.ndarray:
-    """Dispatch a classical baseline over the trailing axis."""
-    if kind.kind == "max":
-        return pool_max(x, kind.effective_window, kind.stride)
-    if kind.kind == "avg":
-        return pool_avg(x, kind.effective_window, kind.stride)
-    if kind.kind == "stride":
-        return pool_stride(x, kind.stride)
-    if kind.kind == "blur":
-        return pool_avg(x, kind.effective_window, kind.stride)
-    raise ValueError(f"{kind.kind!r} is not a classical baseline; build a pooling plan instead")
+    """Pool the trailing axis of ``x`` by the classical baseline ``kind``; the
+    kind ``blur``, a box filter before subsampling, is average pooling."""
+    return _pool(kind, _real_array(x, "x"))
 
 
 def replace_rule(kind: PoolingKind) -> tuple[PoolingKind, ...]:

@@ -59,20 +59,14 @@ def shift_sweep(pipeline: Pipeline, upsampler, shifts, x) -> SweepResult:
     and must return ``(S, c') + input spatial``.
 
     Shifts must be integers (a float or a bool is a ``ValueError``, not
-    truncated) and stay within one full period of the input's trailing
-    axis; anything larger only repeats an earlier column and usually
-    signals a caller bug.  The tolerance scales with the norm of ``x``, so
-    a NaN or infinite entry, or a squared norm that overflows a double, is
-    a ``ValueError`` before anything runs.
+    truncated) and stay within one full period of every spatial axis, as
+    for :func:`fpool.pipeline.equivalence_error`.  The tolerance scales
+    with the norm of ``x``, so a NaN or infinite entry, or a squared norm
+    that overflows a double, is a ``ValueError`` before anything runs.
     """
-    x = np.asarray(x, dtype=float)
-    n = x.shape[-1]
     shifts = [_require_integer(d, "shift") for d in shifts]
     if not shifts:
         raise ValueError("at least one shift is required")
-    out_of_range = [d for d in shifts if not -n <= d <= n]
-    if out_of_range:
-        raise ValueError(f"shifts {out_of_range} fall outside [-{n}, {n}]")
     input_norm = _signal_norm(x, "x")
     # an image's scalar shift is diagonal: d * (1, 1)
     deltas = np.outer(shifts, _shift_vector(1, _spatial_ndim(pipeline.input_shape)))

@@ -24,10 +24,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .baselines import PoolingKind, pool_baseline
+from .baselines import PoolingKind, _pool
 from .pooling import (
     FPoolPlan,
     _check_budget,
+    _real_array,
     make_plan,
     pool1d,
     pool2d,
@@ -86,7 +87,7 @@ class _Conv:
     def __post_init__(self):
         if self.padding not in _PAD_MODES:
             raise ValueError(f"padding must be one of {tuple(_PAD_MODES)}, got {self.padding!r}")
-        self.weights = np.asarray(self.weights, dtype=float)
+        self.weights = _real_array(self.weights, "weights")
         if self.weights.ndim != 2 + self.spatial or 0 in self.weights.shape[1:]:
             raise ValueError(
                 f"conv{self.spatial}d weights must be (c_out, c_in) plus {self.spatial} "
@@ -103,7 +104,7 @@ class _Conv:
         return (self.weights.shape[0],) + tuple(shape[1:])
 
     def apply(self, x):
-        x = np.asarray(x, dtype=float)
+        x = _real_array(x, "x")
         c_out, c_in = self.weights.shape[:2]
         if x.ndim < 1 + self.spatial or x.shape[-1 - self.spatial] != c_in:
             raise self._mismatch(x.shape)
@@ -154,7 +155,7 @@ class ReLU:
         return tuple(shape)
 
     def apply(self, x):
-        return np.maximum(x, 0.0)
+        return np.maximum(_real_array(x, "x"), 0.0)
 
 
 @dataclass(eq=False)
@@ -192,9 +193,9 @@ class _Pool:
         plans = self.plans
         if self.kind.kind == "fpool":
             return (pool1d if len(plans) == 1 else pool2d)(*plans, x)
-        x = np.asarray(x, dtype=float)
+        x = _real_array(x, "x")
         for axis in range(-1, -1 - len(plans), -1):
-            x = pool_baseline(self.kind, x.swapaxes(axis, -1)).swapaxes(axis, -1)
+            x = _pool(self.kind, x.swapaxes(axis, -1)).swapaxes(axis, -1)
         return x
 
 
@@ -228,7 +229,7 @@ class GlobalAvg:
     def apply(self, x):
         # one summation order whatever the layout: a strided view's mean
         # sums in sequence, a contiguous one's pairwise
-        x = np.ascontiguousarray(x, dtype=float)
+        x = _real_array(np.ascontiguousarray(x), "x")
         return x.reshape(x.shape[0], -1).mean(axis=1)
 
 
@@ -238,7 +239,8 @@ class Linear:
     bias: np.ndarray | None = None
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=float)
+        self.weights = _real_array(self.weights, "weights")
+        self.bias = None if self.bias is None else _real_array(self.bias, "bias")
         if self.weights.ndim != 2:
             raise ValueError(f"linear weights must be (c_out, c_in), got {self.weights.shape}")
 
@@ -248,7 +250,7 @@ class Linear:
         return (self.weights.shape[0],)
 
     def apply(self, x):
-        out = self.weights @ np.asarray(x, dtype=float)
+        out = self.weights @ _real_array(x, "x")
         return out if self.bias is None else out + self.bias
 
 
@@ -260,7 +262,7 @@ class Softmax:
         return tuple(shape)
 
     def apply(self, x):
-        z = np.asarray(x, dtype=float)
+        z = _real_array(x, "x")
         e = np.exp(z - z.max())
         return e / e.sum()
 
@@ -301,7 +303,7 @@ class Pipeline:
         making a second one; ``x``, and any stage that shares memory with it,
         is never written.
         """
-        x = given = np.asarray(x, dtype=float)
+        x = given = _real_array(x, "x")
         batched = x.shape[1:] == self.input_shape
         if x.shape != self.input_shape and not batched:
             raise ValueError(f"input shape {x.shape} does not match {self.input_shape}")
@@ -434,16 +436,21 @@ def _shifted_runs(pipeline: Pipeline, x, deltas, reduce, reduce_doubles: int = 0
 
 def _sweep_errors(pipeline: Pipeline, upsampler, deltas, x) -> np.ndarray:
     """Equivalence error of ``x`` at each row of the ``(S, spatial)`` integer
-    shifts ``deltas``.
+    shifts ``deltas``, each within one period of its own axis, ``[-n, n]``:
+    a larger shift only repeats a smaller one and usually signals a bug.
 
     The reference, process-then-upsample of ``x``, is computed once and
     shifted by gathering; the shifted inputs run through the pipeline and the
     upsampler on :func:`_shifted_runs`, whose chunks also bound the upsampled
     outputs.
     """
-    x = np.asarray(x, dtype=float)
+    x = _real_array(x, "x")
     if x.shape != pipeline.input_shape:
         raise ValueError(f"input shape {x.shape} does not match {pipeline.input_shape}")
+    outside = deltas[(np.abs(deltas) > x.shape[1:]).any(axis=1)].tolist()
+    if outside:
+        bounds = " x ".join(f"[-{n}, {n}]" for n in x.shape[1:])
+        raise ValueError(f"shifts {[d[0] if len(d) == 1 else tuple(d) for d in outside]} fall outside {bounds}")
     up = _as_upsampler(upsampler, pipeline.input_shape, pipeline.output_shape)
     reference = np.asarray(up(pipeline.forward(x[np.newaxis])))
     if reference.shape[:1] + reference.shape[2:] != (1,) + x.shape[1:]:
@@ -468,13 +475,14 @@ def equivalence_error(pipeline: Pipeline, upsampler, delta_t, x) -> float:
     The pipeline output is carried back to input resolution by ``upsampler``
     (a plan, a plan pair, None for the direct plan of the composite factor,
     or a callable), then the two evaluation orders are compared at the
-    given integer shift: a scalar for 1-D features, a scalar (diagonal) or
-    ``(dy, dx)`` for images.  Zero means the pipeline, seen through that
-    upsampler, is exactly shift-equivalent at this shift.  This is the
-    one-shift case of :func:`fpool.metrics.shift_sweep`, so a callable
-    upsampler receives pipeline outputs with a leading sample axis,
-    ``(S, c) + spatial``, and must return ``(S, c') + input spatial``: one
-    sample for the reference and one for the shift.
+    given integer shift, within one period of each axis: a scalar for 1-D
+    features, a scalar (diagonal) or ``(dy, dx)`` for images.  Zero means
+    the pipeline, seen through that upsampler, is exactly shift-equivalent
+    at this shift.  This is the one-shift case of
+    :func:`fpool.metrics.shift_sweep`, so a callable upsampler receives
+    pipeline outputs with a leading sample axis, ``(S, c) + spatial``, and
+    must return ``(S, c') + input spatial``: one sample for the reference
+    and one for the shift.
     """
     deltas = np.array([_shift_vector(delta_t, _spatial_ndim(pipeline.input_shape))])
     return float(_sweep_errors(pipeline, upsampler, deltas, x)[0])

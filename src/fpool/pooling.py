@@ -323,39 +323,48 @@ def _check_round_trip(plan: FPoolPlan, dropped_edge: bool) -> float:
     return math.sqrt(worst)
 
 
-def _finite_norm(x: np.ndarray, name: str) -> float:
-    """Euclidean norm of ``x``; ``ValueError`` if an entry is NaN or infinite.
+def _real_array(x, name: str) -> np.ndarray:
+    """``x`` as a float64 array, not copied if it is one: the one check of
+    every array argument.  A dtype other than bool, integer or float, or a
+    NaN or infinite entry, is a ``ValueError`` that names ``name``.
 
-    A finite norm proves every entry finite, so the entrywise scan only runs
-    when the norm is not (a non-finite entry, or squares that overflow).
+    A finite sum of squares proves every entry finite, so the entrywise scan
+    only runs when it is not: a non-finite entry, or huge finite ones, which
+    pass.
     """
-    flat = x.ravel()
-    norm = math.sqrt(flat @ flat)  # np.linalg.norm's own formula, without its overhead
-    if not math.isfinite(norm) and not np.isfinite(x).all():
+    x = np.asarray(x)
+    if x.dtype.kind not in "biuf":
+        raise ValueError(f"{name} must hold real numbers (bool, integer or float), got dtype {x.dtype}")
+    x = x.astype(float, copy=False)
+    if not math.isfinite(_squares(x)) and not np.isfinite(x).all():
         raise ValueError(f"{name} contains NaN or infinite values")
-    return norm
+    return x
 
 
-def _signal_norm(x: np.ndarray, name: str) -> float:
-    """Euclidean norm of ``x``, which must be finite: ``ValueError`` if an
-    entry is NaN or infinite, or if finite entries square past the largest
-    double, and no RuntimeWarning either way.  The kernels accept such huge
-    finite entries (:func:`_finite_norm`); a tolerance scaled by the norm
-    cannot."""
+def _squares(x: np.ndarray) -> float:
+    """Sum of the squares of a float array, inf once it overflows, with no
+    RuntimeWarning; ``ravel("K")`` copies only an array with gaps."""
+    flat = x.ravel("K")
     with np.errstate(over="ignore"):
-        norm = _finite_norm(x, name)
+        return float(flat @ flat)
+
+
+def _signal_norm(x, name: str) -> float:
+    """Euclidean norm of ``x``, checked by :func:`_real_array`; ``ValueError``
+    if its squares sum past the largest double, which a tolerance scaled by
+    the norm cannot take."""
+    norm = math.sqrt(_squares(_real_array(x, name)))
     if not math.isfinite(norm):
         raise ValueError(f"{name} is too large: its squared norm overflows a double")
     return norm
 
 
 def _check_real_1d(x, length: int | None, name: str) -> np.ndarray:
-    """``x`` as a finite float vector, of ``length`` unless that is None."""
-    x = np.asarray(x, dtype=float)
+    """``x`` as a checked float vector, of ``length`` unless that is None."""
+    x = _real_array(x, name)
     if x.ndim != 1 or (length is not None and x.shape[0] != length):
         of_length = "" if length is None else f" of length {length}"
         raise ValueError(f"{name} must be 1-D{of_length}, got shape {x.shape}")
-    _finite_norm(x, name)
     return x
 
 
@@ -410,10 +419,9 @@ def _apply(plans: tuple, x, inverse: bool) -> np.ndarray:
     # numpy rounds a product with a one-row matrix by memory layout (BLAS
     # for contiguous rows, a strided loop otherwise): on a C-contiguous
     # copy, a row or an image rounds alike alone and inside a batch
-    x = np.ascontiguousarray(x, dtype=float)
+    x = _real_array(np.ascontiguousarray(x), name)
     if x.shape[-len(sizes) :] != sizes:
         raise ValueError(f"{name} must be (..., {', '.join(map(str, sizes))}), got shape {x.shape}")
-    _finite_norm(x, name)
     if inverse:
         scale = 1.0
         for plan in plans:

@@ -1,6 +1,7 @@
 """Sweep summaries, retention ablation, and consistency scoring."""
 
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -28,7 +29,7 @@ from fpool.pipeline import (
     random_conv1d,
     random_conv2d,
 )
-from fpool.pooling import make_plan, reconstruction_decomposition, unpool1d
+from fpool.pooling import EXACTNESS_TOL, make_plan, reconstruction_decomposition, unpool1d
 
 
 def _tail_energy(x, m, odd_padding=False):
@@ -119,6 +120,33 @@ class TestShiftSweep:
         with pytest.raises(ValueError):
             shift_sweep(net, lambda y: y, [], x)
 
+    def test_equivalence_error_refuses_the_shifts_a_sweep_refuses(self):
+        # a shift past one period used to measure its cyclic twin: 1000 on a
+        # length-8 input read 0.0
+        plan = make_plan(8, 4)
+        net = Pipeline((Pool1d(PoolingKind("fpool", 2), plan),), (1, 8))
+        x = np.random.default_rng(11).standard_normal((1, 8))
+        assert equivalence_error(net, plan, 8, x) == shift_sweep(net, plan, [8], x).errors[0]
+        for call in (lambda: equivalence_error(net, plan, 1000, x), lambda: shift_sweep(net, plan, [1000], x)):
+            with pytest.raises(ValueError, match=re.escape("shifts [1000] fall outside [-8, 8]")):
+                call()
+
+    def test_each_axis_bounds_its_own_shifts(self):
+        # the trailing axis alone used to bound a diagonal shift: 10 passed on
+        # an 8x12 image, whose height it shifts past one period
+        plans = (make_plan(8, 4), make_plan(12, 6))
+        net = Pipeline((Pool2d(PoolingKind("fpool", 2), *plans),), (1, 8, 12))
+        x = np.random.default_rng(12).standard_normal((1, 8, 12))
+        assert shift_sweep(net, plans, [8, -8], x).all_exact
+        assert equivalence_error(net, plans, (-8, 12), x) <= EXACTNESS_TOL
+        message = re.escape("shifts [(10, 10)] fall outside [-8, 8] x [-12, 12]")
+        with pytest.raises(ValueError, match=message):
+            shift_sweep(net, plans, [0, 10], x)
+        with pytest.raises(ValueError, match=message):
+            equivalence_error(net, plans, 10, x)
+        with pytest.raises(ValueError, match=re.escape("shifts [(9, 0)] fall outside")):
+            equivalence_error(net, plans, (9, 0), x)
+
     def test_an_input_whose_squared_norm_overflows_is_refused(self):
         # the tolerance scales with the input's norm: at inf every error passed
         net = Pipeline((Pool1d(PoolingKind("max", 2)),), (1, 16))
@@ -171,10 +199,11 @@ def _nearest(stride, spatial):
 def _cyclic_shifts(rng, sizes, distinct, zero):
     """A shuffled list of scalar shifts in ``[-n, n]`` with exactly
     ``distinct`` cyclic starts (fewer if there are not that many), where
-    ``n`` is the trailing size.  A start may appear through several of its
-    twins (``d`` and ``d - n``; ``0``, ``n`` and ``-n``) and through plain
-    repeats; ``zero`` forces the start of ``0`` in."""
-    n = sizes[-1]
+    ``n`` is the shortest size: a diagonal shift stays within one period of
+    every axis.  A start may appear through several of its twins (``d`` and
+    ``d - n``; ``0``, ``n`` and ``-n``) and through plain repeats; ``zero``
+    forces the start of ``0`` in."""
+    n = min(sizes)
     twins = {}  # each cyclic start with the shifts in [-n, n] that roll to it
     for d in range(-n, n + 1):
         twins.setdefault(tuple(-d % s for s in sizes), []).append(d)
