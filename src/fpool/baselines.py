@@ -21,10 +21,7 @@ from .spectral import _positive_integer
 __all__ = [
     "BASELINE_KINDS",
     "PoolingKind",
-    "pool_avg",
     "pool_baseline",
-    "pool_max",
-    "pool_stride",
     "replace_rule",
 ]
 
@@ -106,23 +103,6 @@ def _pool(kind: PoolingKind, x: np.ndarray) -> np.ndarray:
     else:
         out = ufunc.reduce(_gather_windows(x, stride, window), axis=-1)
     return out if kind.kind == "max" else np.divide(out, window, out=out)
-
-
-def pool_max(x, window: int | None, stride: int) -> np.ndarray:
-    """Max over circular windows of the given width (None: the stride), one
-    per stride step."""
-    return _pool(PoolingKind("max", stride, window), _real_array(x, "x"))
-
-
-def pool_avg(x, window: int | None, stride: int) -> np.ndarray:
-    """Mean over circular windows of the given width (None: the stride), one
-    per stride step."""
-    return _pool(PoolingKind("avg", stride, window), _real_array(x, "x"))
-
-
-def pool_stride(x, stride: int) -> np.ndarray:
-    """Keep every stride-th sample, starting at index 0."""
-    return _pool(PoolingKind("stride", stride), _real_array(x, "x"))
 
 
 def pool_baseline(kind: PoolingKind, x) -> np.ndarray:

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .baselines import BASELINE_KINDS, PoolingKind
+from .baselines import ALL_KINDS, PoolingKind
 from .netpbm import read_netpbm, write_netpbm
 from .pipeline import Pipeline, Pool1d, Pool2d, toy_classifier_predictions
 from .pooling import (
@@ -39,8 +39,6 @@ from .signals import is_signal_spec, load_signal_column, make_signal
 from .spectral import _positive_integer, _seed, circular_shift
 
 __all__ = ["ExperimentConfig", "main"]
-
-POOLINGS = ("fpool",) + BASELINE_KINDS
 
 
 @dataclass
@@ -140,7 +138,7 @@ def cmd_demo1d(config: ExperimentConfig) -> int:
     with the plan's coupled inverse, then shift; and shift first, then pool
     and upsample.  A shift-equivalent pooling makes the curves identical.
     """
-    kinds = [PoolingKind(kind, config.stride, config.window) for kind in POOLINGS]
+    kinds = [PoolingKind(kind, config.stride, config.window) for kind in ALL_KINDS]
 
     def plan_for(n):
         m = kinds[0].pooled(n)  # every kind pools by the stride
@@ -334,40 +332,46 @@ _FLAGS = {
     "odd_padding": dict(action=argparse.BooleanOptionalAction),
     "padding": dict(choices=("circular", "zero")),
     "seed": dict(type=int),
-    "pooling": dict(choices=POOLINGS),
+    "pooling": dict(choices=ALL_KINDS),
 }
 
-# Per command: its help line, the only flags it accepts, and its defaults where
-# they differ from ExperimentConfig's.  A command reads every flag it accepts,
-# but for oddpad's --odd-padding: oddpad always sweeps both paddings, and the
-# flag stays so that recorded oddpad command lines still run.
+# Per command: its help line, the only flags it accepts, its defaults where
+# they differ from ExperimentConfig's, and the function that runs it.  A
+# command reads every flag it accepts, but for oddpad's --odd-padding: oddpad
+# always sweeps both paddings, and the flag stays so that recorded oddpad
+# command lines still run.
 _USAGE = {
     "demo1d": (
         "both evaluation orders for every pooling at one shift",
         "input output n m stride window odd_padding seed shift",
         {},
+        cmd_demo1d,
     ),
     "oddpad": (
         "equivalence error vs shift, with and without padding",
         "input output n m stride odd_padding seed shift_min shift_max",
         dict(n=16, stride=2),
+        cmd_oddpad,
     ),
     "transitivity": (
         "stacked pooling segments and cascade verdicts",
         "output n m m2 odd_padding seed",
         dict(n=32, m=16, m2=8),
+        cmd_transitivity,
     ),
     "pool": (
         "pool a PGM/PPM image by the stride factor",
         "input output stride window odd_padding pooling",
         {},
+        cmd_pool_image,
     ),
     "consistency": (
         "toy classifier predictions under diagonal shifts",
         "output n stride window odd_padding padding seed pooling shift_min shift_max",
         dict(n=32, odd_padding=False),
+        cmd_consistency,
     ),
-    "bench": ("deterministic cost table; wall times on stderr", "output odd_padding seed", {}),
+    "bench": ("deterministic cost table; wall times on stderr", "output odd_padding seed", {}, cmd_bench),
 }
 
 
@@ -378,7 +382,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="fpool", description="Spectral downsampling experiments (CSV out).", allow_abbrev=False
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_line, flags, defaults) in _USAGE.items():
+    for command, (help_line, flags, defaults, _) in _USAGE.items():
         p = sub.add_parser(
             command, help=help_line, allow_abbrev=False, argument_default=argparse.SUPPRESS
         )
@@ -392,16 +396,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_COMMANDS = {
-    "demo1d": cmd_demo1d,
-    "oddpad": cmd_oddpad,
-    "transitivity": cmd_transitivity,
-    "pool": cmd_pool_image,
-    "consistency": cmd_consistency,
-    "bench": cmd_bench,
-}
-
-
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
@@ -409,7 +403,7 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     config = ExperimentConfig(**vars(args))
     try:
-        return _COMMANDS[config.command](config)
+        return _USAGE[config.command][3](config)
     except ContractViolationError as e:
         sys.stderr.write(f"contract violation: {e}\n")
         return 4

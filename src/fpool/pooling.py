@@ -335,6 +335,9 @@ def _real_array(x, name: str) -> np.ndarray:
     x = np.asarray(x)
     if x.dtype.kind not in "biuf":
         raise ValueError(f"{name} must hold real numbers (bool, integer or float), got dtype {x.dtype}")
+    if x.dtype.itemsize > 8:  # a float wider than a double: entries beyond its range become inf
+        with np.errstate(over="ignore"):
+            x = x.astype(float)
     x = x.astype(float, copy=False)
     if not math.isfinite(_squares(x)) and not np.isfinite(x).all():
         raise ValueError(f"{name} contains NaN or infinite values")
@@ -345,8 +348,8 @@ def _squares(x: np.ndarray) -> float:
     """Sum of the squares of a float array, inf once it overflows, with no
     RuntimeWarning; ``ravel("K")`` copies only an array with gaps."""
     flat = x.ravel("K")
-    with np.errstate(over="ignore"):
-        return float(flat @ flat)
+    # unlike dot and @, vdot never reads the floating-point status, so it cannot warn
+    return float(np.vdot(flat, flat))
 
 
 def _signal_norm(x, name: str) -> float:
@@ -360,11 +363,12 @@ def _signal_norm(x, name: str) -> float:
 
 
 def _check_real_1d(x, length: int | None, name: str) -> np.ndarray:
-    """``x`` as a checked float vector, of ``length`` unless that is None."""
+    """``x`` as a checked float vector of finite norm, of ``length`` unless that is None."""
     x = _real_array(x, name)
     if x.ndim != 1 or (length is not None and x.shape[0] != length):
         of_length = "" if length is None else f" of length {length}"
         raise ValueError(f"{name} must be 1-D{of_length}, got shape {x.shape}")
+    _signal_norm(x, name)
     return x
 
 

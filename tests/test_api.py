@@ -40,10 +40,7 @@ PUBLIC = {
     "fpool.baselines": [
         "BASELINE_KINDS",
         "PoolingKind",
-        "pool_avg",
         "pool_baseline",
-        "pool_max",
-        "pool_stride",
         "replace_rule",
     ],
     "fpool.cli": ["ExperimentConfig", "main"],

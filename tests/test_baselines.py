@@ -5,15 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpool.baselines import (
-    BASELINE_KINDS,
-    PoolingKind,
-    pool_avg,
-    pool_baseline,
-    pool_max,
-    pool_stride,
-    replace_rule,
-)
+from fpool.baselines import BASELINE_KINDS, PoolingKind, pool_baseline, replace_rule
 from fpool.pipeline import Pool1d, Pool2d
 from fpool.pooling import make_plan, pool1d, unpool1d
 from fpool.spectral import circular_shift
@@ -23,33 +15,40 @@ from window_oracle import gathered_pool
 X4 = np.array([1.0, 3.0, 5.0, 7.0])
 
 
-def blur(x, window, stride):
-    """The blur kind through its dispatch, in pool_max's argument order."""
-    return pool_baseline(PoolingKind("blur", stride, window), x)
+def _baseline(kind):
+    """``pool_baseline`` of ``kind`` as a function of ``(x, window, stride)``."""
+    return lambda x, window, stride: pool_baseline(PoolingKind(kind, stride, window), x)
+
+
+max_pool, avg_pool, blur = _baseline("max"), _baseline("avg"), _baseline("blur")
+
+
+def stride_pool(x, stride):
+    return pool_baseline(PoolingKind("stride", stride), x)
 
 
 def test_frozen_examples():
-    np.testing.assert_array_equal(pool_max(X4, 2, 2), [3.0, 7.0])
-    np.testing.assert_array_equal(pool_avg(X4, 2, 2), [2.0, 6.0])
-    np.testing.assert_array_equal(pool_stride(X4, 2), [1.0, 5.0])
+    np.testing.assert_array_equal(max_pool(X4, 2, 2), [3.0, 7.0])
+    np.testing.assert_array_equal(avg_pool(X4, 2, 2), [2.0, 6.0])
+    np.testing.assert_array_equal(stride_pool(X4, 2), [1.0, 5.0])
     np.testing.assert_array_equal(blur(X4, None, 2), [2.0, 6.0])
 
 
 def test_max_window_wraps_circularly():
     # windows of width 3 starting at 0 and 2: {1,3,5} and {5,7,1}
-    np.testing.assert_array_equal(pool_max(X4, 3, 2), [5.0, 7.0])
+    np.testing.assert_array_equal(max_pool(X4, 3, 2), [5.0, 7.0])
 
 
 def test_window_none_is_the_stride():
     x = np.arange(8.0)
-    for fn in (pool_max, pool_avg, blur):
+    for fn in (max_pool, avg_pool, blur):
         np.testing.assert_array_equal(fn(x, None, 2), fn(x, 2, 2))
 
 
 # the gathered windows and their index are refused before they are made:
 # n/s * window entries per row of x and once more for the index, 8 bytes
 # each; blur is average pooling, so it counts n/s rows as well
-@pytest.mark.parametrize("fn", [pool_max, pool_avg, blur], ids=["max", "avg", "blur"])
+@pytest.mark.parametrize("fn", [max_pool, avg_pool, blur], ids=["max", "avg", "blur"])
 def test_oversized_windows_are_refused_before_the_gather(fn):
     want = f"windows of {2**40} at stride 2 over 2x8 samples need about {3 * 2**25} MiB with their index"
     with pytest.raises(ValueError, match=f"^{want}, over the 1024 MiB budget$"):
@@ -57,8 +56,8 @@ def test_oversized_windows_are_refused_before_the_gather(fn):
 
 
 def test_stride_one_is_identity():
-    np.testing.assert_array_equal(pool_max(X4, 1, 1), X4)
-    np.testing.assert_array_equal(pool_stride(X4, 1), X4)
+    np.testing.assert_array_equal(max_pool(X4, 1, 1), X4)
+    np.testing.assert_array_equal(stride_pool(X4, 1), X4)
 
 
 @settings(max_examples=60)
@@ -82,7 +81,7 @@ def test_blur_layers_equal_average_pooling_layers(stride, blocks, box, seed):
 # signed zeros side by side, and finite values; no window of 8 or fewer
 # sums past the largest double
 FINITE = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e300, 1e300))
-STRIDED = (pool_max, np.max), (pool_avg, np.mean), (blur, np.mean)
+STRIDED = (max_pool, np.max), (avg_pool, np.mean), (blur, np.mean)
 
 
 @settings(max_examples=300, deadline=None)
@@ -124,7 +123,7 @@ def test_strided_kernels_refuse_infinite_entries(stride, rows, lead, data):
 
 def test_divisibility_is_required():
     x = np.arange(10.0)
-    for fn in (lambda: pool_max(x, 4, 4), lambda: pool_avg(x, 4, 4), lambda: pool_stride(x, 4), lambda: blur(x, None, 4)):
+    for fn in (lambda: max_pool(x, 4, 4), lambda: avg_pool(x, 4, 4), lambda: stride_pool(x, 4), lambda: blur(x, None, 4)):
         with pytest.raises(ValueError):
             fn()
 
@@ -134,11 +133,11 @@ def test_divisibility_is_required():
 @pytest.mark.parametrize(
     "fn, name",
     [
-        (lambda x, v: pool_max(x, v, 2), "window"),
-        (lambda x, v: pool_max(x, 2, v), "stride"),
-        (lambda x, v: pool_avg(x, v, 2), "window"),
-        (lambda x, v: pool_avg(x, 2, v), "stride"),
-        (lambda x, v: pool_stride(x, v), "stride"),
+        (lambda x, v: max_pool(x, v, 2), "window"),
+        (lambda x, v: max_pool(x, 2, v), "stride"),
+        (lambda x, v: avg_pool(x, v, 2), "window"),
+        (lambda x, v: avg_pool(x, 2, v), "stride"),
+        (lambda x, v: stride_pool(x, v), "stride"),
         (lambda x, v: blur(x, None, v), "stride"),
         (lambda x, v: blur(x, v, 2), "window"),
     ],

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpool.baselines import ALL_KINDS, BASELINE_KINDS, PoolingKind, pool_avg, pool_baseline, pool_max, pool_stride
+from fpool.baselines import ALL_KINDS, BASELINE_KINDS, PoolingKind, pool_baseline
 from fpool.metrics import retention_ablation, shift_sweep
 from fpool.pipeline import (
     Conv1d,
@@ -48,10 +48,10 @@ TARGETS = [
     ("decomposition-x", (8,), lambda a: reconstruction_decomposition(a, PLAN), "x"),
     ("decomposition-downsampled", (4,), lambda a: reconstruction_decomposition(np.ones(8), PLAN, a), "downsampled"),
     ("retention_ablation", (8,), lambda a: retention_ablation([0.5], [a]), "signal"),
-    ("pool_max", (2, 8), lambda a: pool_max(a, None, 2), "x"),
-    ("pool_max-window", (2, 8), lambda a: pool_max(a, 3, 2), "x"),
-    ("pool_avg", (2, 8), lambda a: pool_avg(a, None, 2), "x"),
-    ("pool_stride", (2, 8), lambda a: pool_stride(a, 2), "x"),
+    ("pool_max", (2, 8), lambda a: pool_baseline(PoolingKind("max", 2), a), "x"),
+    ("pool_max-window", (2, 8), lambda a: pool_baseline(PoolingKind("max", 2, 3), a), "x"),
+    ("pool_avg", (2, 8), lambda a: pool_baseline(PoolingKind("avg", 2), a), "x"),
+    ("pool_stride", (2, 8), lambda a: pool_baseline(PoolingKind("stride", 2), a), "x"),
     ("shift_sweep", (1, 8), lambda a: shift_sweep(NET, PLAN, [-1, 0, 3], a), "x"),
     ("equivalence_error", (1, 8), lambda a: equivalence_error(NET, PLAN, 3, a), "x"),
     ("forward", (1, 8), NET.forward, "x"),
@@ -71,7 +71,7 @@ TARGETS += [
     (f"Pool{s}d.apply-{k}", (1,) + (8,) * s, _pool_layer(k, s).apply, "x") for k in ALL_KINDS for s in (1, 2)
 ]
 
-ACCEPTED = ("bool", "int8", "uint16", "int64", "float32", "float64")
+ACCEPTED = ("bool", "int8", "uint16", "int64", "float32", "float64", "longdouble")
 REFUSED = ("complex128", "object", "str", "bytes")
 LAYOUTS = ("contiguous", "0-d", "empty leading axis", "strided view", "transposed view")
 
@@ -100,7 +100,7 @@ def _array(values, dtype, layout):
 def test_every_array_argument_is_a_result_or_a_value_error_that_names_it(target, dtype, layout, poison, seed):
     _, shape, call, argument = target
     values = np.random.default_rng(seed).integers(0, 4, shape)
-    if dtype.startswith("float") and poison is not None:
+    if np.dtype(dtype).kind == "f" and poison is not None:
         values = values.astype(float)
         values.flat[seed % values.size] = poison
     x = _array(values, dtype, layout)
@@ -141,3 +141,15 @@ def test_huge_finite_entries_pass_every_pooling_kind_without_a_warning(kind):
         warnings.simplefilter("error")
         for out in (_pool_layer(kind, 1).apply(x[0]), _pool_layer(kind, 2).apply(x)):
             assert np.isfinite(out).all()
+
+
+def test_a_wider_float_beyond_the_double_range_is_infinite_without_a_warning():
+    # the conversion to float64 warned of the overflow before refusing it
+    if np.finfo(np.longdouble).max <= np.finfo(np.float64).max:
+        pytest.skip("long double is a double here")
+    x = np.full(8, np.longdouble("1e400"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^x contains NaN or infinite values$"):
+            pool1d(PLAN, x)
+        assert pool1d(PLAN, x / np.longdouble("1e200")).dtype == np.float64

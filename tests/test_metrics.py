@@ -408,6 +408,11 @@ class TestRetentionAblation:
         with pytest.raises(ValueError, match="signal"):
             retention_ablation([0.5], [np.zeros(8), bad])
 
+    def test_a_signal_whose_squared_norm_overflows_is_refused(self):
+        # its error energy squared it: an overflow warning, then an inf error
+        with pytest.raises(ValueError, match="^signal is too large: its squared norm overflows a double$"):
+            retention_ablation([0.5], [np.zeros(8), np.full(8, 1e300)])
+
     @settings(max_examples=150, deadline=None)
     @given(
         st.integers(1, 96).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),

@@ -728,6 +728,15 @@ class TestReconstructionDecomposition:
         oracle = np.sum(np.abs(s[~keep]) ** 2) / 32  # Parseval with 1/n on this convention
         np.testing.assert_allclose(energy_high, oracle, rtol=1e-9)
 
+    def test_a_signal_whose_squared_norm_overflows_is_refused(self):
+        # the energies squared it: an overflow warning, then inf energies
+        plan = make_plan(8, 4)
+        assert np.isfinite(reconstruction_decomposition(np.full(8, 1e150), plan)).all()
+        with pytest.raises(ValueError, match="^x is too large: its squared norm overflows a double$"):
+            reconstruction_decomposition(np.full(8, 1e300), plan)
+        with pytest.raises(ValueError, match="^downsampled is too large: its squared norm overflows a double$"):
+            reconstruction_decomposition(np.ones(8), plan, downsampled=np.full(4, 1e300))
+
     @pytest.mark.parametrize("kind", ["max", "avg", "stride", "blur"])
     def test_no_baseline_reconstructs_closer(self, kind):
         """Every baseline's round-trip error is at least the plan's, strictly so off-band."""

@@ -2,9 +2,9 @@
 
 Every window ``x[..., (start + arange(window)) % n]``, one per stride step,
 is gathered through one index and reduced along its own axis by numpy.
-``fpool.baselines.pool_max`` and ``pool_avg`` fold strided slices instead
-when the window is the stride; they must return these bits, signed zeros
-included.
+``fpool.baselines.pool_baseline`` folds strided slices instead for max and
+average pooling when the window is the stride; it must return these bits,
+signed zeros included.
 """
 
 import numpy as np
